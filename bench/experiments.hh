@@ -10,7 +10,6 @@
 #ifndef HAWKSIM_BENCH_EXPERIMENTS_HH
 #define HAWKSIM_BENCH_EXPERIMENTS_HH
 
-#include "harness/cli.hh"
 #include "harness/experiment.hh"
 
 namespace bench {
@@ -34,14 +33,6 @@ void registerAblationHawkEye(hawksim::harness::Registry &reg);
 
 /** Register every experiment above. */
 void registerAllExperiments(hawksim::harness::Registry &reg);
-
-/**
- * `--wallclock` micro-driver (perf_hotpath.cc): real ns per simulated
- * access over the table2 grid, cache on vs. off. Not a registry
- * experiment — wall-clock numbers must never enter the canonical
- * report.
- */
-int runWallclockHotpath(const hawksim::harness::WallclockMode &mode);
 
 } // namespace bench
 

@@ -45,7 +45,5 @@ main(int argc, char **argv)
 {
     hawksim::harness::Registry reg;
     bench::registerAllExperiments(reg);
-    hawksim::harness::WallclockMode wallclock;
-    wallclock.run = bench::runWallclockHotpath;
-    return hawksim::harness::runCli(argc, argv, reg, &wallclock);
+    return hawksim::harness::runCli(argc, argv, reg);
 }

@@ -135,28 +135,6 @@ entryJson(const DiffEntry &e)
     return j;
 }
 
-/** "BENCH_PR8.json" -> "BENCH_PR8". */
-std::string
-labelOf(const std::string &path)
-{
-    std::string base = path;
-    const auto slash = base.find_last_of("/\\");
-    if (slash != std::string::npos)
-        base = base.substr(slash + 1);
-    const auto dot = base.rfind('.');
-    if (dot != std::string::npos && dot > 0)
-        base = base.substr(0, dot);
-    return base;
-}
-
-std::string
-formatMetric(double v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.3f", v);
-    return buf;
-}
-
 void
 writeOrPrint(const std::string &path, const std::string &text)
 {
@@ -225,109 +203,11 @@ diffSummaryJson(const DiffResult &r, const std::string &pathA,
     return out;
 }
 
-std::string
-trendMarkdown(
-    const std::vector<std::pair<std::string, Json>> &benches)
-{
-    std::string md = "# hawksim wall-clock trend\n\n";
-    if (benches.empty())
-        return md + "(no bench files)\n";
-
-    // Metric rows: union of every file's summary keys, in order of
-    // first appearance, so a metric added in a later PR still shows.
-    std::vector<std::string> keys;
-    for (const auto &[label, doc] : benches) {
-        if (!doc.isObject() || !doc.contains("summary"))
-            continue;
-        for (const auto &[k, v] : doc["summary"].members()) {
-            if (std::find(keys.begin(), keys.end(), k) == keys.end())
-                keys.push_back(k);
-        }
-    }
-
-    md += "| metric |";
-    for (const auto &[label, doc] : benches)
-        md += " " + label + " |";
-    md += " Δ first→last |\n";
-    md += "|---|";
-    for (std::size_t i = 0; i < benches.size(); i++)
-        md += "---|";
-    md += "---|\n";
-
-    for (const std::string &k : keys) {
-        md += "| " + k + " |";
-        double first = 0.0, last = 0.0;
-        unsigned present = 0;
-        for (const auto &[label, doc] : benches) {
-            if (doc.isObject() && doc.contains("summary") &&
-                doc["summary"].contains(k)) {
-                const double v = doc["summary"][k].asDouble();
-                // "s" + temporary trips a GCC 12 -Wrestrict false
-                // positive at -O2; append piecewise instead.
-                md += ' ';
-                md += formatMetric(v);
-                md += " |";
-                if (present == 0)
-                    first = v;
-                last = v;
-                present++;
-            } else {
-                md += " — |";
-            }
-        }
-        if (present >= 2 && first != 0.0) {
-            const double pct = (last - first) / first * 100.0;
-            char buf[32];
-            std::snprintf(buf, sizeof buf, " %+.1f%% |\n", pct);
-            md += buf;
-        } else {
-            md += " — |\n";
-        }
-    }
-
-    md += "\n";
-    for (const auto &[label, doc] : benches) {
-        if (!doc.isObject())
-            continue;
-        md += "- **" + label + "**";
-        if (doc.contains("bench"))
-            md += ": " + doc["bench"].asString();
-        if (doc.contains("grid"))
-            md += " / " + doc["grid"].asString();
-        if (doc.contains("repeat")) {
-            md += ", repeat " +
-                  std::to_string(doc["repeat"].asInt());
-        }
-        if (doc.contains("tcache_compiled_in")) {
-            md += doc["tcache_compiled_in"].asBool()
-                      ? ", tcache on"
-                      : ", tcache off";
-        }
-        md += "\n";
-    }
-    return md;
-}
-
 int
 runAnalyze(const AnalyzeOptions &opts)
 {
     try {
         int rc = 0;
-
-        if (!opts.trendPaths.empty()) {
-            std::vector<std::pair<std::string, Json>> benches;
-            for (const std::string &p : opts.trendPaths) {
-                std::string err;
-                Json doc = Json::parse(base::readFile(p), &err);
-                if (!err.empty()) {
-                    std::fprintf(stderr, "error: %s: %s\n",
-                                 p.c_str(), err.c_str());
-                    return 1;
-                }
-                benches.emplace_back(labelOf(p), std::move(doc));
-            }
-            writeOrPrint(opts.trendOut, trendMarkdown(benches));
-        }
 
         if (!opts.diffPaths.empty()) {
             std::string errA, errB;

@@ -1,7 +1,7 @@
 /**
  * @file
  * Report analytics: diff two canonical artifacts with a regression
- * gate, and summarize wall-clock bench trends across PRs.
+ * gate.
  *
  * The diff engine walks two JSON documents member-by-member. Every
  * field is compared *bit-exact* on its serialized bytes — that is the
@@ -9,8 +9,8 @@
  * whose leaf name marks them as wall-clock dependent (wall_ms,
  * *_ns_median, *speedup*, ...), which get a relative tolerance band
  * instead. hawksim-report/v1 files contain no wall-clock keys at all,
- * so report diffs are fully exact; hawksim-wallclock/v1 (BENCH_PR*)
- * files are mostly banded with their config pinned exact.
+ * so report diffs are fully exact; `--profile` and telemetry output
+ * carry the banded wall-clock leaves.
  *
  * runAnalyze is the `--analyze` CLI mode: exit 0 when clean, 3 on a
  * regression (CI gates on it), 2 on usage errors, 1 on environment
@@ -24,7 +24,6 @@
 
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "harness/json.hh"
@@ -42,11 +41,6 @@ struct AnalyzeOptions
     /** Exactly two artifact paths to diff (--diff A B; empty = no
      *  diff). Order is (baseline, candidate). */
     std::vector<std::string> diffPaths;
-    /** hawksim-wallclock/v1 files to trend, oldest first (--trend,
-     *  repeatable). */
-    std::vector<std::string> trendPaths;
-    /** Markdown trend table destination (--trend-out; "" = stdout). */
-    std::string trendOut;
     /** Machine-readable diff summary destination (--summary-out;
      *  "" = stdout). */
     std::string summaryOut;
@@ -98,14 +92,6 @@ harness::Json diffSummaryJson(const DiffResult &r,
                               const std::string &pathA,
                               const std::string &pathB,
                               double tolerancePct);
-
-/**
- * Markdown table of hawksim-wallclock/v1 "summary" metrics across
- * @p benches (label, parsed document), oldest first, with a final
- * delta column (last vs first, percent).
- */
-std::string trendMarkdown(
-    const std::vector<std::pair<std::string, harness::Json>> &benches);
 
 /** The --analyze CLI mode. */
 int runAnalyze(const AnalyzeOptions &opts);

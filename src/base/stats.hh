@@ -48,29 +48,6 @@ class Ema
     bool seeded() const { return seeded_; }
     void reset() { seeded_ = false; value_ = 0.0; }
 
-    /**
-     * @name Batched-kernel access
-     *
-     * A column-oriented update loop (core/access_tracker's read
-     * phase) gathers many EMAs into parallel value/alpha columns,
-     * runs `alpha * sample + (1 - alpha) * value` across lanes, and
-     * scatters the results back. These accessors expose exactly the
-     * state that kernel needs; `store` is `update`'s post-state for
-     * both the seeded and the seeding case (value assigned, seeded
-     * set), so kernel and member update are state-identical.
-     */
-    /// @{
-    double alpha() const { return alpha_; }
-    /** `value_` regardless of seeding (the kernel's gather source). */
-    double valueRaw() const { return value_; }
-    void
-    store(double v)
-    {
-        value_ = v;
-        seeded_ = true;
-    }
-    /// @}
-
   private:
     double alpha_;
     double value_ = 0.0;

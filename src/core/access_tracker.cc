@@ -3,43 +3,10 @@
 #include <algorithm>
 #include <vector>
 
-#include "base/simd.hh"
 #include "sim/process.hh"
 #include "snap/state.hh"
 
 namespace hawksim::core {
-
-namespace {
-
-/**
- * Column EMA step: out[i] = alphas[i] * samples[i] +
- * (1 - alphas[i]) * vals[i], two lanes per SSE2 op. Each lane
- * performs exactly the scalar expression's operation sequence (one
- * rounding per multiply/subtract/add, no FMA contraction), so the
- * results are bit-for-bit the same doubles the member-wise
- * `Ema::update` produces — reports stay canonical either way.
- */
-void
-emaKernel(double *vals, const double *alphas, const double *samples,
-          std::size_t n)
-{
-    std::size_t i = 0;
-#if HAWKSIM_SIMD_SSE2
-    const __m128d one = _mm_set1_pd(1.0);
-    for (; i + 2 <= n; i += 2) {
-        const __m128d a = _mm_load_pd(alphas + i);
-        const __m128d s = _mm_load_pd(samples + i);
-        const __m128d v = _mm_load_pd(vals + i);
-        const __m128d next = _mm_add_pd(
-            _mm_mul_pd(a, s), _mm_mul_pd(_mm_sub_pd(one, a), v));
-        _mm_store_pd(vals + i, next);
-    }
-#endif
-    for (; i < n; i++)
-        vals[i] = alphas[i] * samples[i] + (1.0 - alphas[i]) * vals[i];
-}
-
-} // namespace
 
 void
 AccessTracker::periodic(sim::Process &proc, TimeNs now)
@@ -77,26 +44,7 @@ AccessTracker::clearPhase(sim::Process &proc)
 void
 AccessTracker::readPhase(sim::Process &proc)
 {
-    // Data-oriented sampling pass, three phases over the eligible
-    // regions instead of one fused loop:
-    //
-    //   1. walk: one PT scan per region; erase emptied regions and
-    //      create/update RegionStats in the original region order
-    //      (the map's create/erase interleaving is exactly the fused
-    //      loop's), staging each surviving region's stat pointer and
-    //      coverage sample.
-    //   2. EMA: gather the already-seeded stats into value/alpha
-    //      columns, run the vectorized kernel, scatter back. First
-    //      samples seed directly (value := sample), as in
-    //      Ema::update.
-    //   3. hooks: deliver the per-region callback in original order.
-    //
-    // The split is observationally identical to the fused loop: the
-    // EMA math is independent per region, and the hook only mutates
-    // policy-side structures (it must not mutate this tracker or the
-    // page table — nothing readPhase stages is re-read after phase 1).
     auto &pt = proc.space().pageTable();
-    staged_.clear();
     proc.space().forEachEligibleRegion([&](std::uint64_t region) {
         // One walk + one PT scan per region (population, accessed
         // count and huge-ness all come from the same leaf node).
@@ -108,35 +56,10 @@ AccessTracker::readPhase(sim::Process &proc)
         RegionStat &st = regions_[region];
         st.lastSample = rv.accessed;
         st.isHuge = rv.huge;
-        staged_.push_back(StagedSample{
-            region, &st, static_cast<double>(rv.accessed)});
+        st.ema.update(static_cast<double>(st.lastSample));
+        if (hook_)
+            hook_(region, st.ema.value(), st.lastSample, st.isHuge);
     });
-
-    ema_vals_.clear();
-    ema_alphas_.clear();
-    ema_samples_.clear();
-    ema_dst_.clear();
-    for (const StagedSample &s : staged_) {
-        Ema &ema = s.stat->ema;
-        if (!ema.seeded()) {
-            ema.store(s.sample);
-            continue;
-        }
-        ema_vals_.push_back(ema.valueRaw());
-        ema_alphas_.push_back(ema.alpha());
-        ema_samples_.push_back(s.sample);
-        ema_dst_.push_back(&ema);
-    }
-    emaKernel(ema_vals_.data(), ema_alphas_.data(),
-              ema_samples_.data(), ema_vals_.size());
-    for (std::size_t i = 0; i < ema_dst_.size(); i++)
-        ema_dst_[i]->store(ema_vals_[i]);
-
-    if (hook_) {
-        for (const StagedSample &s : staged_)
-            hook_(s.region, s.stat->ema.value(), s.stat->lastSample,
-                  s.stat->isHuge);
-    }
 }
 
 double

@@ -16,9 +16,7 @@
 #include <cstdint>
 #include <functional>
 #include <unordered_map>
-#include <vector>
 
-#include "base/aligned.hh"
 #include "base/stats.hh"
 #include "base/types.hh"
 
@@ -94,18 +92,6 @@ class AccessTracker
     void clearPhase(sim::Process &proc);
     void readPhase(sim::Process &proc);
 
-    /**
-     * One region staged by readPhase's walk pass for the column EMA
-     * kernel and the deferred hook pass. Holds a stable pointer into
-     * `regions_` (unordered_map never moves values on insert).
-     */
-    struct StagedSample
-    {
-        std::uint64_t region;
-        RegionStat *stat;
-        double sample;
-    };
-
     TimeNs period_;
     TimeNs window_;
     TimeNs next_clear_ = 0;
@@ -113,15 +99,6 @@ class AccessTracker
     bool armed_ = false;
     std::unordered_map<std::uint64_t, RegionStat> regions_;
     SampleHook hook_;
-
-    /** @name readPhase scratch, reused across sampling periods */
-    /// @{
-    std::vector<StagedSample> staged_;
-    AlignedVec<double> ema_vals_;
-    AlignedVec<double> ema_alphas_;
-    AlignedVec<double> ema_samples_;
-    std::vector<Ema *> ema_dst_;
-    /// @}
 };
 
 } // namespace hawksim::core

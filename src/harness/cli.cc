@@ -113,14 +113,10 @@ printUsage(const char *argv0)
         "  --telemetry-interval SEC\n"
         "                   heartbeat period (default 1.0)\n"
         "  --analyze        report analytics instead of running the\n"
-        "                   grid; needs --diff and/or --trend\n"
+        "                   grid; needs --diff\n"
         "  --diff A B       diff two canonical artifacts: pinned\n"
         "                   fields byte-exact, wall-clock keys within\n"
         "                   --tolerance; exit 3 on regression\n"
-        "  --trend FILE     wallclock bench JSON to trend (repeat,\n"
-        "                   oldest first); writes a markdown table\n"
-        "  --trend-out FILE markdown trend destination (default\n"
-        "                   stdout)\n"
         "  --summary-out FILE\n"
         "                   machine-readable diff summary JSON\n"
         "                   (default stdout)\n"
@@ -128,11 +124,6 @@ printUsage(const char *argv0)
         "                   --diff (default 25)\n"
         "  --pretty         indent the report\n"
         "  --quiet          no per-run progress on stderr\n"
-        "  --wallclock      run the wall-clock hot-path benchmark\n"
-        "                   instead of the experiment grid; writes\n"
-        "                   BENCH_PR8.json (override with --out)\n"
-        "  --repeat N       wallclock: timed repetitions per point\n"
-        "                   (default 5; min/median are reported)\n"
         "  --help           this text\n",
         argv0);
 }
@@ -218,16 +209,12 @@ loadFaultScript(const std::string &path, fault::FaultConfig &cfg)
 } // namespace
 
 int
-runCli(int argc, char **argv, Registry &reg,
-       const WallclockMode *wallclock)
+runCli(int argc, char **argv, Registry &reg)
 {
     RunnerOptions opts;
     opts.verbose = true;
     bool list = false;
     bool pretty = false;
-    bool wallclock_mode = false;
-    bool out_set = false;
-    std::uint64_t repeat = 5;
     std::string out_path = "results/bench.json";
     std::string profile_path;
     std::string trace_path;
@@ -276,15 +263,6 @@ runCli(int argc, char **argv, Registry &reg,
             if (!v)
                 return 2;
             out_path = v;
-            out_set = true;
-        } else if (arg == "--wallclock") {
-            wallclock_mode = true;
-        } else if (arg == "--repeat") {
-            const char *v = value();
-            if (!v || !parseUint(v, repeat) || repeat == 0) {
-                std::fprintf(stderr, "error: bad --repeat value\n");
-                return 2;
-            }
         } else if (arg == "--profile") {
             const char *v = value();
             if (!v)
@@ -465,17 +443,6 @@ runCli(int argc, char **argv, Registry &reg,
                 return 2;
             an.diffPaths = {a, b};
             analyze_mode = true;
-        } else if (arg == "--trend") {
-            const char *v = value();
-            if (!v)
-                return 2;
-            an.trendPaths.emplace_back(v);
-            analyze_mode = true;
-        } else if (arg == "--trend-out") {
-            const char *v = value();
-            if (!v)
-                return 2;
-            an.trendOut = v;
         } else if (arg == "--summary-out") {
             const char *v = value();
             if (!v)
@@ -508,8 +475,8 @@ runCli(int argc, char **argv, Registry &reg,
     }
 
     if (analyze_mode) {
-        if (an.diffPaths.empty() && an.trendPaths.empty())
-            return usageError("--analyze needs --diff and/or --trend");
+        if (an.diffPaths.empty())
+            return usageError("--analyze needs --diff");
         setLogQuiet(true);
         return analyze::runAnalyze(an);
     }
@@ -535,20 +502,6 @@ runCli(int argc, char **argv, Registry &reg,
             opts.fault.rate = 0.01;
         opts.fault.auditOnFault = true;
         opts.fault.oomKiller = true;
-    }
-
-    if (wallclock_mode) {
-        if (!wallclock || !wallclock->run) {
-            return usageError(
-                "--wallclock is not supported by this binary");
-        }
-        WallclockMode mode = *wallclock;
-        mode.repeat = static_cast<unsigned>(repeat);
-        if (out_set)
-            mode.out = out_path;
-        mode.quiet = !opts.verbose;
-        setLogQuiet(true);
-        return mode.run(mode);
     }
 
     if (list) {

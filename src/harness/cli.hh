@@ -21,40 +21,12 @@
 #ifndef HAWKSIM_HARNESS_CLI_HH
 #define HAWKSIM_HARNESS_CLI_HH
 
-#include <functional>
-#include <string>
-
 #include "harness/experiment.hh"
 
 namespace hawksim::harness {
 
-/**
- * Wall-clock benchmark mode (`--wallclock [--repeat N]`).
- *
- * Unlike the canonical report, wall-clock numbers vary run to run and
- * machine to machine, so this mode bypasses the registry entirely:
- * the binary supplies a micro-driver callback and the CLI hands it
- * the parsed options. Keeping it out of the registry guarantees the
- * default experiment grid (and therefore every report) is unchanged
- * by the existence of the perf harness.
- */
-struct WallclockMode
-{
-    /** Timed repetitions per grid point (min/median are reported). */
-    unsigned repeat = 5;
-    /** Output JSON path (default: BENCH_PR8.json at the cwd root). */
-    std::string out = "BENCH_PR8.json";
-    bool quiet = false;
-    /** The micro-driver; returns a process exit code. */
-    std::function<int(const WallclockMode &)> run;
-};
-
-/**
- * Run the CLI against @p reg; returns the process exit code.
- * @p wallclock, when non-null, enables the `--wallclock` flag.
- */
-int runCli(int argc, char **argv, Registry &reg,
-           const WallclockMode *wallclock = nullptr);
+/** Run the CLI against @p reg; returns the process exit code. */
+int runCli(int argc, char **argv, Registry &reg);
 
 } // namespace hawksim::harness
 

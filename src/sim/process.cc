@@ -63,12 +63,8 @@ Process::tick(TimeNs dt)
         // fused walk translates and sets accessed+dirty in one pass;
         // a COW entry touched just before its break is unobservable
         // (breakCow installs fresh accessed|dirty flags anyway).
-        if (!oom_) {
-            if (tlb::TlbModel::batchingEnabled())
-                runWritesBatched(chunk, cost);
-            else
-                runWritesScalar(chunk, cost);
-        }
+        if (!oom_)
+            runWrites(chunk, cost);
 
         // Accessed-bit shadow sample (for OS access-bit tracking).
         for (Vpn vpn : chunk.touches)
@@ -115,46 +111,21 @@ Process::tick(TimeNs dt)
 }
 
 void
-Process::runWritesScalar(const workload::WorkChunk &chunk,
-                         TimeNs &cost)
+Process::runWrites(const workload::WorkChunk &chunk, TimeNs &cost)
 {
-    // Reference per-entry loop (batching disabled): translate, fault
-    // or break COW as needed, then install the content — one entry at
-    // a time.
-    for (const auto &[vpn, content] : chunk.writes) {
-        vm::Translation t = space_.pageTable().lookupAndTouch(vpn, true);
-        if (!t.present) {
-            if (!faultIn(vpn, cost))
-                break;
-            t = space_.pageTable().lookupAndTouch(vpn, true);
-        }
-        if (t.entry.cow()) {
-            const TimeNs c = sys_.policy().onCowFault(sys_, *this, vpn);
-            recordCowFault(vpn, c);
-            cost += c;
-            t = space_.pageTable().lookupAndTouch(vpn, true);
-        }
-        sys_.phys().writeFrame(t.pfn, content);
-    }
-}
-
-void
-Process::runWritesBatched(const workload::WorkChunk &chunk,
-                          TimeNs &cost)
-{
-    // Segmented two-phase variant of runWritesScalar: translate a run
-    // of entries that need no OS intervention (present, not COW) into
-    // a reused pfn scratch column, then commit the run's frame writes
-    // with the next frame prefetched ahead of each store. The phases
-    // commute — translations never read frame contents and content
-    // writes never touch the page table — and a repeated vpn resolves
-    // to the same pfn in both phases (nothing changes the mapping in
-    // between), so the observable state after each run matches the
-    // scalar interleaving exactly. The first entry that *does* need
-    // the fault path breaks the run and is handled inline, at its
+    // Segmented two-phase loop: translate a run of entries that need
+    // no OS intervention (present, not COW) into a reused pfn scratch
+    // column, then commit the run's frame writes with the next frame
+    // prefetched ahead of each store. The phases commute —
+    // translations never read frame contents and content writes never
+    // touch the page table — and a repeated vpn resolves to the same
+    // pfn in both phases (nothing changes the mapping in between), so
+    // the observable state after each run matches a per-entry
+    // translate-then-write loop exactly. The first entry that *does*
+    // need the fault path breaks the run and is handled inline, at its
     // original position relative to every other page-table and frame
     // operation; an OOM verdict abandons the rest of the chunk's
-    // writes, exactly like the scalar loop's break.
+    // writes.
     vm::PageTable &pt = space_.pageTable();
     mem::PhysicalMemory &phys = sys_.phys();
     const auto &writes = chunk.writes;
@@ -165,8 +136,6 @@ Process::runWritesBatched(const workload::WorkChunk &chunk,
         write_pfns_.clear();
         vm::Translation pending; // breaking entry's translation
         for (; i < n; i++) {
-            if (i + 1 < n)
-                pt.prefetchTranslation(writes[i + 1].first);
             pending = pt.lookupAndTouch(writes[i].first, true);
             if (!pending.present || pending.entry.cow())
                 break;
@@ -181,9 +150,9 @@ Process::runWritesBatched(const workload::WorkChunk &chunk,
         }
         if (i == n)
             break;
-        // Fault path for the entry that broke the run — the same
-        // steps the scalar loop takes from its first lookupAndTouch
-        // (already done above as `pending`).
+        // Fault path for the entry that broke the run, continuing
+        // from its first lookupAndTouch (already done above as
+        // `pending`): fault it in, break COW, then write.
         const Vpn vpn = writes[i].first;
         vm::Translation t = pending;
         if (!t.present) {

@@ -135,22 +135,12 @@ class Process
     bool faultIn(Vpn vpn, TimeNs &cost);
 
     /**
-     * @name Content-write loop
-     *
-     * Two state-equivalent implementations of the chunk's content
-     * writes, selected by `tlb::TlbModel::batchingEnabled()`. The
-     * batched one runs translate-all / write-all phases over runs of
-     * fault-free entries (prefetching the next PTE and frame column
-     * entry), dropping to the scalar fault path only at the entries
-     * that need it — see runWritesBatched for the equivalence
-     * argument. The scalar one is the per-entry reference loop.
+     * The chunk's content writes: translate-all / write-all phases
+     * over runs of fault-free entries (prefetching the next frame
+     * column entry), dropping to the fault path only at the entries
+     * that need it.
      */
-    /// @{
-    void runWritesScalar(const workload::WorkChunk &chunk,
-                         TimeNs &cost);
-    void runWritesBatched(const workload::WorkChunk &chunk,
-                          TimeNs &cost);
-    /// @}
+    void runWrites(const workload::WorkChunk &chunk, TimeNs &cost);
 
     /** Account + trace one serviced page fault. */
     void recordFault(Vpn vpn, const policy::FaultOutcome &out);
@@ -182,7 +172,7 @@ class Process
 
     /** Reused across ticks so chunk vectors keep their capacity. */
     workload::WorkChunk chunk_;
-    /** Translated-run pfn column reused by runWritesBatched. */
+    /** Translated-run pfn column reused by runWrites. */
     std::vector<Pfn> write_pfns_;
 };
 

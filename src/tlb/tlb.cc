@@ -36,55 +36,21 @@ TlbModel::TlbModel(TlbConfig cfg)
       pt_residency_(cfg.ptResidencyEntries, 8)
 {}
 
-Cycles
+HAWKSIM_NOINLINE Cycles
 TlbModel::walkLatency(Vpn vpn, bool huge)
 {
-    Cycles cost = 0;
-    // A page-table load hits in the data caches if its cache line was
-    // walked recently; otherwise it goes to memory. Tags separate the
-    // levels; PTEs/PDEs are cached at 64-byte (8-entry) granularity.
-    auto load = [&](std::uint64_t line_id) {
-        if (pt_residency_.lookup(line_id)) {
-            cost += cfg_.ptCachedLoadCycles;
-        } else {
-            cost += cfg_.ptMemoryLoadCycles;
-            pt_residency_.insert(line_id);
-        }
-    };
-    // The PML4 is a handful of hot lines; treat as always cached.
-    cost += 4;
-    if (!pwc_pdpte_.lookup(vpn >> 18)) {
-        load((vpn >> 21) | (1ull << 60)); // PDPTE line
-        pwc_pdpte_.insert(vpn >> 18);
-    }
-    if (huge) {
-        // Walk terminates at the PD level: the PDE is the leaf.
-        load((vpn >> 12) | (2ull << 60));
-    } else {
-        if (!pwc_pde_.lookup(vpn >> 9)) {
-            load((vpn >> 12) | (2ull << 60)); // PDE line
-            pwc_pde_.insert(vpn >> 9);
-        }
-        load((vpn >> 3) | (3ull << 60)); // PTE line
-    }
-    if (cfg_.nested)
-        cost = static_cast<Cycles>(static_cast<double>(cost) *
-                                   cfg_.nestedWalkFactor);
-    return cost;
-}
-
-HAWKSIM_NOINLINE Cycles
-TlbModel::walkLatencyFused(Vpn vpn, bool huge)
-{
-    // Identical cost model to walkLatency, but every
-    // lookup-then-insert-on-miss pair collapses into one fused probe.
-    // The only reordering is a PWC fill moving ahead of the
-    // corresponding pt-residency load — a different structure, so each
-    // structure still sees exactly the walkLatency op sequence.
+    // The PML4 is a handful of hot lines; treat as always cached
+    // (4 cycles). A page-table load hits in the data caches if its
+    // cache line was walked recently; otherwise it goes to memory.
+    // Tags separate the levels; PTEs/PDEs are cached at 64-byte
+    // (8-entry) granularity. Every lookup-then-insert-on-miss pair is
+    // one fused probe, so a PWC fill lands before the pt-residency
+    // load its miss triggers; they are separate structures, so each
+    // still sees its operations in the same order.
     //
     // Kept out-of-line on purpose: flattening these three probes into
-    // simulateBatched's loop body (alongside the L1/L2 probes) was
-    // measured slower across the board — the loop body outgrows the
+    // simulate's loop body (alongside the L1/L2 probes) was measured
+    // slower across the board — the loop body outgrows the
     // decoded-uop cache. Compact front-probe loop + one call on the
     // miss path beats a fully fused body.
     Cycles cost = 4;
@@ -114,90 +80,17 @@ TlbModel::walkLatencyFused(Vpn vpn, bool huge)
     return cost;
 }
 
-bool TlbModel::batching_enabled_ = true;
-
 TlbBatchResult
 TlbModel::simulate(vm::PageTable &pt,
                    const std::vector<AccessSample> &batch,
                    double sequentiality, double scale)
 {
-    return batching_enabled_
-               ? simulateBatched(pt, batch, sequentiality, scale)
-               : simulateScalar(pt, batch, sequentiality, scale);
-}
-
-TlbBatchResult
-TlbModel::simulateScalar(vm::PageTable &pt,
-                         const std::vector<AccessSample> &batch,
-                         double sequentiality, double scale)
-{
-    double load_walk = 0.0;
-    double store_walk = 0.0;
-    std::uint64_t misses = 0;
-    std::uint64_t accesses = 0;
-    const double overlap =
-        1.0 - cfg_.sequentialOverlap * sequentiality;
-
-    for (const auto &a : batch) {
-        vm::Translation t = pt.lookupAndTouch(a.vpn, a.write);
-        if (!t.present)
-            continue; // engine faults first; stale samples are skipped
-        accesses++;
-        double walk = 0.0;
-        if (t.huge) {
-            const std::uint64_t region = a.vpn >> 9;
-            const std::uint64_t l2key = (region << 1) | 1;
-            if (audit_log_on_)
-                audit_2m_[region] = pt.translationEpoch();
-            if (l1_2m_.lookup(region)) {
-                // L1 hit: free
-            } else if (l2_.lookup(l2key)) {
-                walk = static_cast<double>(cfg_.l2HitCycles);
-                l1_2m_.insert(region);
-            } else {
-                misses++;
-                walk = static_cast<double>(walkLatency(a.vpn, true)) *
-                       overlap;
-                l1_2m_.insert(region);
-                l2_.insert(l2key);
-            }
-        } else {
-            const std::uint64_t l2key = a.vpn << 1;
-            if (audit_log_on_)
-                audit_4k_[a.vpn] = pt.translationEpoch();
-            if (l1_4k_.lookup(a.vpn)) {
-                // L1 hit: free
-            } else if (l2_.lookup(l2key)) {
-                walk = static_cast<double>(cfg_.l2HitCycles);
-                l1_4k_.insert(a.vpn);
-            } else {
-                misses++;
-                walk = static_cast<double>(walkLatency(a.vpn, false)) *
-                       overlap;
-                l1_4k_.insert(a.vpn);
-                l2_.insert(l2key);
-            }
-        }
-        if (a.write)
-            store_walk += walk;
-        else
-            load_walk += walk;
-    }
-
-    return finishBatch(accesses, misses, load_walk, store_walk, scale);
-}
-
-TlbBatchResult
-TlbModel::simulateBatched(vm::PageTable &pt,
-                          const std::vector<AccessSample> &batch,
-                          double sequentiality, double scale)
-{
-    // Phase 1: translate every sample through the fused walk + tcache,
-    // staging the present ones as columns. Translations never consult
-    // TLB state and probes never read PTEs (lookupAndTouch only sets
+    // Phase 1: translate every sample through the fused walk, staging
+    // the present ones as columns. Translations never consult TLB
+    // state and probes never read PTEs (lookupAndTouch only sets
     // accessed/dirty bits), so splitting the per-access loop into
     // translate-all / probe-all phases is observationally identical to
-    // the scalar interleaving. The slot's L1/L2 set bases are resolved
+    // a per-access interleaving. The slot's L1/L2 set bases are resolved
     // here too: the key-mix chain is serial per probe but independent
     // across slots, so it overlaps the pointer-chasing walk stalls
     // instead of serializing the probe loop.
@@ -214,8 +107,6 @@ TlbModel::simulateBatched(vm::PageTable &pt,
     walk_base_.clear();
     const std::size_t n = batch.size();
     for (std::size_t i = 0; i < n; i++) {
-        if (i + 1 < n)
-            pt.prefetchTranslation(batch[i + 1].vpn);
         const AccessSample &a = batch[i];
         const vm::Translation t = pt.lookupAndTouch(a.vpn, a.write);
         if (!t.present)
@@ -247,9 +138,8 @@ TlbModel::simulateBatched(vm::PageTable &pt,
     // as one fused probe (`lookupOrInsertAt`) — same per-structure op
     // sequence, half the set resolutions and no key mixing on the
     // critical path. The write/load walk split is accumulated
-    // branch-free by indexing with the staged write bit; the
-    // per-accumulator addition order matches the scalar loop exactly,
-    // so the doubles are bit-identical. One slot ahead, the loop
+    // branch-free by indexing with the staged write bit, in sample
+    // order per accumulator. One slot ahead, the loop
     // prefetches the two sets the next probe is likely to stall on:
     // the L2 set (64KB of tags — misses L1d on every random probe)
     // and the pt-residency set of the next walk's leaf line (512KB —
@@ -278,7 +168,7 @@ TlbModel::simulateBatched(vm::PageTable &pt,
             } else {
                 misses++;
                 walk = static_cast<double>(
-                           walkLatencyFused(s.vpn, true)) *
+                           walkLatency(s.vpn, true)) *
                        overlap;
             }
         } else {
@@ -291,7 +181,7 @@ TlbModel::simulateBatched(vm::PageTable &pt,
             } else {
                 misses++;
                 walk = static_cast<double>(
-                           walkLatencyFused(s.vpn, false)) *
+                           walkLatency(s.vpn, false)) *
                        overlap;
             }
         }

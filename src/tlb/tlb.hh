@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "base/aligned.hh"
-#include "base/simd.hh"
 #include "base/types.hh"
 #include "tlb/perf_counters.hh"
 #include "vm/page_table.hh"
@@ -95,27 +94,10 @@ class SetAssocTlb
     }
 
     /**
-     * Fused lookup + fill-on-miss: one set resolution and one pass
-     * over the ways serve both operations. Returns true on hit,
-     * refreshing LRU exactly like `lookup`; on miss the key is
-     * inserted with `insert`'s victim choice before returning false.
-     * State-equivalent to `lookup(k) || (insert(k), false)` — the
-     * batched simulate loop uses this, the scalar reference loop
-     * keeps the discrete calls.
-     */
-    bool
-    lookupOrInsert(std::uint64_t key)
-    {
-        // Dispatch on the two real geometries so the scans unroll
-        // with a compile-time trip count (and stay branch-free).
-        return lookupOrInsertAt(baseOf(key), key);
-    }
-
-    /**
      * Resolve @p key to its set's base way index. Pairs with
-     * `lookupOrInsertAt`: the batched simulate loop precomputes bases
-     * for a whole chunk in one ILP-friendly pre-pass, lifting the
-     * serial mix/mask chain off each probe's critical path.
+     * `lookupOrInsertAt`: the simulate loop precomputes bases for a
+     * whole chunk in one ILP-friendly pre-pass, lifting the serial
+     * mix/mask chain off each probe's critical path.
      */
     std::size_t
     baseOf(std::uint64_t key) const
@@ -124,7 +106,12 @@ class SetAssocTlb
     }
 
     /**
-     * `lookupOrInsert` with the set base already resolved.
+     * Fused lookup + fill-on-miss at a precomputed set base (see
+     * `baseOf`): one pass over the ways serves both operations.
+     * Returns true on hit, refreshing LRU exactly like `lookup`; on
+     * miss the key is inserted with `insert`'s victim choice before
+     * returning false. State-equivalent to
+     * `lookup(k) || (insert(k), false)`.
      *
      * Fronted by a one-entry MRU memo: if @p key is the key this
      * structure probed last time, it is still resident at the
@@ -149,6 +136,8 @@ class SetAssocTlb
             lru_[memo_idx_] = ++tick_;
             return true;
         }
+        // Dispatch on the two real geometries so the scans unroll
+        // with a compile-time trip count (and stay branch-free).
         switch (ways_) {
           case 4:
             return probeOrFill<4>(base, key);
@@ -162,13 +151,6 @@ class SetAssocTlb
 
     void flush();
     unsigned entries() const { return sets_ * ways_; }
-
-    /** Pull the set that @p key maps to into cache ahead of a probe. */
-    void
-    prefetchSet(std::uint64_t key) const
-    {
-        prefetchBase(baseOf(key));
-    }
 
     /**
      * Prefetch a set by precomputed base (see `baseOf`). Pulls both
@@ -288,34 +270,6 @@ class SetAssocTlb
     {
         std::uint64_t *keys = keys_.data() + base;
         std::uint64_t *lru = lru_.data() + base;
-#if HAWKSIM_SIMD_SSE2
-        // Parallel hit scan: compare all N ways at once and reduce to
-        // a match bitmask. SSE2 has no 64-bit compare, so equality is
-        // two 32-bit lane compares ANDed with each other; the 64-bit
-        // sign bits then drop out of movemask_pd. Bit-identical to
-        // the scalar scan — exact integer equality either way.
-        static_assert(N == 4 || N == 8, "probe geometry");
-        const __m128i bk = _mm_set1_epi64x(
-            static_cast<long long>(key));
-        unsigned match = 0;
-        for (unsigned v = 0; v < N; v += 2) {
-            const __m128i k2 = _mm_load_si128(
-                reinterpret_cast<const __m128i *>(keys + v));
-            const __m128i eq32 = _mm_cmpeq_epi32(k2, bk);
-            const __m128i eq64 = _mm_and_si128(
-                eq32, _mm_shuffle_epi32(eq32, _MM_SHUFFLE(2, 3, 0, 1)));
-            match |= static_cast<unsigned>(_mm_movemask_pd(
-                         _mm_castsi128_pd(eq64)))
-                     << v;
-        }
-        if (match) {
-            const unsigned hit_way = __builtin_ctz(match);
-            lru[hit_way] = ++tick_;
-            memo_key_ = key;
-            memo_idx_ = static_cast<std::uint32_t>(base + hit_way);
-            return true;
-        }
-#else
         unsigned hit_way = N;
         for (unsigned w = 0; w < N; w++)
             hit_way = keys[w] == key ? w : hit_way;
@@ -325,7 +279,6 @@ class SetAssocTlb
             memo_idx_ = static_cast<std::uint32_t>(base + hit_way);
             return true;
         }
-#endif
         // Victim scan as a tree-min over `(effectiveLru << 3) | way`
         // — way indices break ties (only empties can tie, at 0), so
         // the minimum is the first empty way, else the first
@@ -460,24 +413,6 @@ class TlbModel
                             const std::vector<AccessSample> &batch,
                             double sequentiality, double scale = 1.0);
 
-    /**
-     * @name Batched-loop control
-     *
-     * `simulate` normally runs as two batched phases (translate every
-     * sample, then probe every staged translation) with column
-     * prefetch between iterations. The phases commute — translations
-     * never read TLB state and probes never read PTEs — so results,
-     * counters and reports are bit-identical to the scalar
-     * per-access loop, which is kept for A/B timing and the
-     * equivalence test suite. Process-wide switch, same contract as
-     * `PageTable::setTranslationCacheEnabled`: only flip between
-     * measurement phases, never while simulations run elsewhere.
-     */
-    /// @{
-    static void setBatchingEnabled(bool on) { batching_enabled_ = on; }
-    static bool batchingEnabled() { return batching_enabled_; }
-    /// @}
-
     /** Flush translations (context switch / TLB shootdown). */
     void flush();
 
@@ -571,19 +506,9 @@ class TlbModel
     void load(snap::Reader &r);
 
   private:
-    /** Cycles for a full walk of @p levels page-table loads. */
+    /** Cycles for the page walk a TLB miss on @p vpn triggers. */
     Cycles walkLatency(Vpn vpn, bool huge);
-    /** Same walk-cost model via fused probes (batched loop). */
-    Cycles walkLatencyFused(Vpn vpn, bool huge);
 
-    /** Reference per-access loop (batching disabled). */
-    TlbBatchResult simulateScalar(vm::PageTable &pt,
-                                  const std::vector<AccessSample> &batch,
-                                  double sequentiality, double scale);
-    /** Phase-split loop: translate all, then probe all. */
-    TlbBatchResult simulateBatched(vm::PageTable &pt,
-                                   const std::vector<AccessSample> &batch,
-                                   double sequentiality, double scale);
     /** Scale/round the batch tallies and charge the counters. */
     TlbBatchResult finishBatch(std::uint64_t accesses,
                                std::uint64_t misses, double load_walk,
@@ -614,8 +539,6 @@ class TlbModel
      * never touches is harmless.
      */
     AlignedVec<std::uint32_t> walk_base_;
-
-    static bool batching_enabled_;
 
     TlbConfig cfg_;
     SetAssocTlb l1_4k_;

@@ -5,8 +5,6 @@
 
 namespace hawksim::vm {
 
-bool PageTable::tcache_runtime_enabled_ = true;
-
 PageTable::Node *
 PageTable::pdNode(Vpn vpn, bool create)
 {
@@ -29,12 +27,6 @@ PageTable::pdNode(Vpn vpn, bool create)
     return l2->children[i2].get();
 }
 
-const PageTable::Node *
-PageTable::pdNodeConst(Vpn vpn) const
-{
-    return walkPd(vpn);
-}
-
 PageTable::Node *
 PageTable::walkPd(Vpn vpn) const
 {
@@ -43,31 +35,6 @@ PageTable::walkPd(Vpn vpn) const
     if (!l2)
         return nullptr;
     return l2->children[idxL2(vpn)].get();
-}
-
-PageTable::Node *
-PageTable::pdFast(Vpn vpn) const
-{
-#ifndef HAWKSIM_NO_TCACHE
-    if (tcache_runtime_enabled_) {
-        const std::uint64_t pd_key = (vpn >> 18) + 1;
-        if (last_pd_.tag == pd_key && last_pd_.epoch == epoch_)
-            return last_pd_.pd;
-        const std::uint64_t region = vpn >> 9;
-        CacheSlot &slot = tcache_[region & (kTCacheSlots - 1)];
-        if (slot.tag == region + 1 && slot.epoch == epoch_) {
-            last_pd_ = {pd_key, epoch_, slot.pd};
-            return slot.pd;
-        }
-        Node *pd = walkPd(vpn);
-        if (pd) {
-            slot = {region + 1, epoch_, pd};
-            last_pd_ = {pd_key, epoch_, pd};
-        }
-        return pd;
-    }
-#endif
-    return walkPd(vpn);
 }
 
 void
@@ -216,7 +183,7 @@ Translation
 PageTable::lookup(Vpn vpn) const
 {
     Translation t;
-    const Node *pd = pdFast(vpn);
+    const Node *pd = walkPd(vpn);
     if (!pd)
         return t;
     const unsigned i1 = idxL1(vpn);
@@ -256,19 +223,11 @@ PageTable::touch(Vpn vpn, bool write)
 Translation
 PageTable::lookupAndTouch(Vpn vpn, bool write)
 {
-    if (!translationCacheEnabled()) {
-        // Reference path: the seed's exact two-walk sequence. The CI
-        // bit-identity check compares this against the fused walk.
-        Translation t = lookup(vpn);
-        if (t.present)
-            touch(vpn, write);
-        return t;
-    }
     const std::uint64_t touch_flags =
         write ? (kPteAccessed | kPteDirty)
               : std::uint64_t{kPteAccessed};
     Translation t;
-    Node *pd = pdFast(vpn);
+    Node *pd = walkPd(vpn);
     if (!pd)
         return t;
     const unsigned i1 = idxL1(vpn);
@@ -300,7 +259,7 @@ void
 PageTable::clearAccessed(std::uint64_t region)
 {
     const Vpn base = region << 9;
-    Node *pd = pdFast(base);
+    Node *pd = walkPd(base);
     if (!pd)
         return;
     const unsigned i1 = idxL1(base);
@@ -326,7 +285,7 @@ unsigned
 PageTable::accessedCount(std::uint64_t region) const
 {
     const Vpn base = region << 9;
-    const Node *pd = pdFast(base);
+    const Node *pd = walkPd(base);
     if (!pd)
         return 0;
     const unsigned i1 = idxL1(base);
@@ -349,7 +308,7 @@ unsigned
 PageTable::population(std::uint64_t region) const
 {
     const Vpn base = region << 9;
-    const Node *pd = pdFast(base);
+    const Node *pd = walkPd(base);
     if (!pd)
         return 0;
     const unsigned i1 = idxL1(base);
@@ -364,7 +323,7 @@ bool
 PageTable::isHuge(std::uint64_t region) const
 {
     const Vpn base = region << 9;
-    const Node *pd = pdFast(base);
+    const Node *pd = walkPd(base);
     if (!pd)
         return false;
     Pte e(pd->entries[idxL1(base)]);
@@ -376,7 +335,7 @@ PageTable::regionView(std::uint64_t region) const
 {
     RegionView view;
     const Vpn base = region << 9;
-    const Node *pd = pdFast(base);
+    const Node *pd = walkPd(base);
     if (!pd)
         return view;
     const unsigned i1 = idxL1(base);
@@ -500,7 +459,7 @@ PageTable::auditStructure(
 Pte *
 PageTable::leafEntry(Vpn vpn, bool *is_huge)
 {
-    Node *pd = pdFast(vpn);
+    Node *pd = walkPd(vpn);
     if (!pd)
         return nullptr;
     const unsigned i1 = idxL1(vpn);
@@ -568,15 +527,8 @@ PageTable::load(snap::Reader &r)
               "snapshot: page-table leaf counters drifted on load");
 
     // The rebuild bumped the epoch per mapping; restore the saved
-    // value so audit logs keyed by epoch still line up, and drop all
-    // cached walk results — their Node pointers died with the old
-    // tree, and their epoch tags are meaningless under the restored
-    // counter.
+    // value so audit logs keyed by epoch still line up.
     epoch_ = epoch;
-#ifndef HAWKSIM_NO_TCACHE
-    tcache_.fill(CacheSlot{});
-    last_pd_ = CacheSlot{};
-#endif
 }
 
 } // namespace hawksim::vm

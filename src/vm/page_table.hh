@@ -8,31 +8,12 @@
  * query utilization in O(1), and supports the promotion/demotion
  * primitives (replace a PT with a huge leaf and vice versa).
  *
- * Simulator-side translation cache
- * --------------------------------
- * Every sampled access costs a software radix walk, and the hot paths
- * (TLB simulation, content writes, access-bit sampling) walk the same
- * handful of PD nodes over and over. The table therefore keeps a
- * behavior-invisible cache of walk results:
- *
- *   - a structural *epoch* counter, bumped by every mutation that
- *     creates, destroys or retargets leaf entries (mapBase/mapHuge/
- *     unmapBase/unmapHuge/remapBase/promote/demote — madvise unmaps
- *     go through these);
- *   - a flat direct-mapped `region -> PD node` cache plus a one-entry
- *     last-PD slot, each tagged with the epoch at fill time.
- *
- * A stale entry is detected by epoch compare and simply re-walked, so
- * cached and uncached execution are bit-identical: the cache stores
- * only node *handles*; entry words (present/huge/accessed/dirty bits)
- * are always read live through them. `lookup`, `touch`,
- * `clearAccessed`, `accessedCount`, `population`, `isHuge`,
- * `regionView` and `leafEntry` all consult the cache before walking.
- *
- * Compile with -DHAWKSIM_NO_TCACHE to remove the cache entirely (CI
- * compares reports of both builds byte-for-byte), or flip the
- * process-wide runtime switch (used by `hawksim_bench --wallclock` to
- * measure both variants in one process).
+ * Every mutation that creates, destroys or retargets a leaf entry
+ * (mapBase/mapHuge/unmapBase/unmapHuge/remapBase/promote/demote —
+ * madvise unmaps go through these) bumps a structural *epoch*. The
+ * TLB model tags its coherence audit log with it, and checkpoint
+ * images carry it, so audit logs keyed by epoch line up after a
+ * restore.
  */
 
 #ifndef HAWKSIM_VM_PAGE_TABLE_HH
@@ -44,7 +25,6 @@
 #include <memory>
 #include <vector>
 
-#include "base/aligned.hh"
 #include "base/types.hh"
 #include "vm/pte.hh"
 
@@ -109,8 +89,6 @@ class PageTable
      * present, set accessed (and dirty for writes) on the leaf entry.
      * The returned Translation snapshots the entry *before* the touch,
      * exactly as a `lookup()` followed by `touch()` would observe it.
-     * With the translation cache disabled this decays to that
-     * two-walk reference sequence.
      */
     Translation lookupAndTouch(Vpn vpn, bool write);
     /** Clear accessed bits for every leaf entry in a 2MB region. */
@@ -166,8 +144,7 @@ class PageTable
 
     /**
      * Leaf entries + the structural epoch. Load rebuilds the radix
-     * tree from scratch, restores the epoch, and drops every
-     * translation-cache slot (cached Node pointers would dangle).
+     * tree from scratch and restores the epoch.
      */
     void save(snap::Writer &w) const;
     void load(snap::Reader &r);
@@ -189,60 +166,8 @@ class PageTable
         const std::function<void(const char *, Vpn, std::uint64_t)>
             &fn) const;
 
-    /** @name Translation-cache introspection and control */
-    /// @{
-    /**
-     * Structural mutation epoch; cache entries tagged with an older
-     * epoch are ignored. Exposed for tests and diagnostics.
-     */
+    /** Structural mutation epoch (see the file comment). */
     std::uint64_t translationEpoch() const { return epoch_; }
-    /** True unless compiled with -DHAWKSIM_NO_TCACHE. */
-    static constexpr bool
-    translationCacheCompiledIn()
-    {
-#ifdef HAWKSIM_NO_TCACHE
-        return false;
-#else
-        return true;
-#endif
-    }
-    /**
-     * Process-wide runtime switch (default on). Only flipped between
-     * measurement phases by the wall-clock harness; never toggle it
-     * while simulations are running on other threads.
-     */
-    static void
-    setTranslationCacheEnabled(bool on)
-    {
-        tcache_runtime_enabled_ = on;
-    }
-    static bool
-    translationCacheEnabled()
-    {
-        return translationCacheCompiledIn() && tcache_runtime_enabled_;
-    }
-
-    /**
-     * Pull the translation-cache slot — and, on a current-epoch hit,
-     * the PD entry word — for @p vpn towards the caches, ahead of an
-     * upcoming `lookupAndTouch`. Pure prefetch: never changes
-     * behavior, and a no-op when the cache is compiled out.
-     */
-    void
-    prefetchTranslation(Vpn vpn) const
-    {
-#ifndef HAWKSIM_NO_TCACHE
-        const std::uint64_t region = vpn >> 9;
-        const CacheSlot &slot = tcache_[region & (kTCacheSlots - 1)];
-        if (slot.tag == region + 1 && slot.epoch == epoch_ && slot.pd) {
-            prefetchRead(&slot.pd->entries[idxL1(vpn)]);
-            prefetchRead(&slot.pd->children[idxL1(vpn)]);
-        }
-#else
-        (void)vpn;
-#endif
-    }
-    /// @}
 
   private:
     struct Node
@@ -260,7 +185,6 @@ class PageTable
 
     /** Walk to the PD node covering vpn, optionally creating it. */
     Node *pdNode(Vpn vpn, bool create);
-    const Node *pdNodeConst(Vpn vpn) const;
 
     /**
      * Read-only walk to the PD node. The const_cast is sound: the
@@ -268,32 +192,14 @@ class PageTable
      * returned node are non-const methods of this table.
      */
     Node *walkPd(Vpn vpn) const;
-    /** walkPd through the translation cache (when enabled). */
-    Node *pdFast(Vpn vpn) const;
-    /** Record a structural mutation: invalidates all cached slots. */
+    /** Record a structural mutation. */
     void bumpEpoch() { epoch_++; }
 
     Node root_;
     std::uint64_t base_pages_ = 0;
     std::uint64_t huge_pages_ = 0;
 
-    /** Structural epoch; starts at 1 so a zero tag is never valid. */
     std::uint64_t epoch_ = 1;
-    static bool tcache_runtime_enabled_;
-
-#ifndef HAWKSIM_NO_TCACHE
-    struct CacheSlot
-    {
-        std::uint64_t tag = 0; //!< key + 1; 0 = empty
-        std::uint64_t epoch = 0;
-        Node *pd = nullptr;
-    };
-    static constexpr std::uint64_t kTCacheSlots = 1024; // power of 2
-    /** Direct-mapped region -> PD node cache, epoch-validated. */
-    mutable std::array<CacheSlot, kTCacheSlots> tcache_{};
-    /** Last PD node seen, keyed by vpn >> 18 (one PD = 1GB of VA). */
-    mutable CacheSlot last_pd_{};
-#endif
 };
 
 } // namespace hawksim::vm

@@ -1,8 +1,8 @@
 /**
  * @file
  * Analyze-engine tests: the exact-vs-tolerance key split, the JSON
- * diff walker (changed, missing, type, length, banded), the
- * machine-readable summary, and the bench trend markdown table.
+ * diff walker (changed, missing, type, length, banded) and the
+ * machine-readable summary.
  */
 
 #include <gtest/gtest.h>
@@ -142,40 +142,6 @@ TEST(DiffSummary, MachineReadableShape)
     std::string err;
     Json::parse(s.dump(), &err);
     EXPECT_TRUE(err.empty()) << err;
-}
-
-TEST(Trend, MarkdownTableAcrossBenches)
-{
-    const Json pr1 = parse(
-        R"({"schema":"hawksim-wallclock/v1","bench":"hot","grid":"g",
-            "repeat":5,"tcache_compiled_in":true,
-            "summary":{"walk_speedup_median":2.0}})");
-    const Json pr2 = parse(
-        R"({"schema":"hawksim-wallclock/v1","bench":"hot","grid":"g",
-            "repeat":5,"tcache_compiled_in":true,
-            "summary":{"walk_speedup_median":3.0,
-                       "new_metric_ns_median":7.0}})");
-    const std::string md =
-        trendMarkdown({{"PR1", pr1}, {"PR2", pr2}});
-
-    EXPECT_NE(md.find("| metric | PR1 | PR2 |"), std::string::npos)
-        << md;
-    // 2.0 -> 3.0 is +50%.
-    EXPECT_NE(md.find("| walk_speedup_median | 2.000 | 3.000 | "
-                      "+50.0% |"),
-              std::string::npos)
-        << md;
-    // A metric present in only one file gets no delta.
-    EXPECT_NE(md.find("| new_metric_ns_median | — | 7.000 | — |"),
-              std::string::npos)
-        << md;
-    EXPECT_NE(md.find("repeat 5, tcache on"), std::string::npos);
-}
-
-TEST(Trend, EmptyInputDoesNotCrash)
-{
-    const std::string md = trendMarkdown({});
-    EXPECT_NE(md.find("no bench files"), std::string::npos);
 }
 
 } // namespace

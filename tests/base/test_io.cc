@@ -13,6 +13,7 @@
 #include "base/error.hh"
 #include "base/io.hh"
 #include "fault/fault.hh"
+#include "support/scratch_dir.hh"
 
 namespace hawksim::base {
 namespace {
@@ -22,18 +23,9 @@ namespace fs = std::filesystem;
 class IoTest : public ::testing::Test
 {
   protected:
-    void
-    SetUp() override
-    {
-        dir_ = fs::temp_directory_path() / "hawksim_io_test";
-        fs::remove_all(dir_);
-    }
-
-    void TearDown() override { fs::remove_all(dir_); }
-
     std::string p(const std::string &name) { return (dir_ / name).string(); }
 
-    fs::path dir_;
+    test::ScratchDir dir_;
 };
 
 TEST_F(IoTest, AtomicWriteRoundTripsAndCreatesParents)

@@ -10,6 +10,7 @@
 #include "harness/cli.hh"
 #include "harness/json.hh"
 #include "harness/runner.hh"
+#include "support/scratch_dir.hh"
 
 namespace hawksim::harness {
 namespace {
@@ -54,16 +55,7 @@ slurp(const fs::path &p)
 class CliTest : public ::testing::Test
 {
   protected:
-    void
-    SetUp() override
-    {
-        scratch_ = fs::temp_directory_path() / "hawksim_cli_test";
-        fs::remove_all(scratch_);
-    }
-
-    void TearDown() override { fs::remove_all(scratch_); }
-
-    fs::path scratch_;
+    test::ScratchDir scratch_;
 };
 
 TEST_F(CliTest, CreatesMissingParentDirsForAllOutputs)
@@ -87,8 +79,7 @@ TEST_F(CliTest, BareFilenameOutNeedsNoParentDir)
     // Regression guard: a path with no directory component must not
     // trip the parent-creation logic.
     const fs::path cwd = fs::current_path();
-    fs::create_directories(scratch_);
-    fs::current_path(scratch_);
+    fs::current_path(scratch_.path());
     const int rc = cli({"--out", "report.json"});
     fs::current_path(cwd);
     EXPECT_EQ(rc, 0);
@@ -157,25 +148,6 @@ TEST_F(CliTest, AnalyzeDiffGatesOnRegression)
     EXPECT_FALSE(s["clean"].asBool());
     EXPECT_GT(s["regressions"].asInt(), 0);
     EXPECT_GT(s["regression_entries"].size(), 0u);
-}
-
-TEST_F(CliTest, AnalyzeTrendWritesMarkdown)
-{
-    const fs::path a = scratch_ / "a.json";
-    const fs::path md = scratch_ / "trend.md";
-    // Any JSON with a "summary" object trends; a report without one
-    // still renders (empty table) rather than failing.
-    fs::create_directories(scratch_);
-    std::ofstream(a) << R"({"schema":"hawksim-wallclock/v1",)"
-                     << R"("bench":"hot","grid":"g","repeat":3,)"
-                     << R"("summary":{"walk_speedup_median":2.5}})";
-    EXPECT_EQ(cli({"--analyze", "--trend", a.string(),
-                   "--trend-out", md.string()}),
-              0);
-    const std::string text = slurp(md);
-    EXPECT_NE(text.find("| walk_speedup_median | 2.500 |"),
-              std::string::npos)
-        << text;
 }
 
 TEST_F(CliTest, AnalyzeUsageErrors)

@@ -12,7 +12,6 @@
 #include "harness/runner.hh"
 #include "policy/linux_thp.hh"
 #include "sim/system.hh"
-#include "vm/page_table.hh"
 #include "workload/stream.hh"
 
 namespace hawksim::harness {
@@ -141,19 +140,6 @@ TEST(InspectExport, ReportUnchangedByIntrospection)
     EXPECT_EQ(empty["schema"].asString(), obs::kInspectSchema);
     for (const Json &run : empty["runs"].items())
         EXPECT_EQ(run["snapshots"].size(), 0u);
-}
-
-TEST(InspectExport, DumpUnchangedByTranslationCacheToggle)
-{
-    // The page-table translation cache is a simulator-speed knob; it
-    // must not leak into observable state.
-    const Report cached = runWith(2, 10);
-    vm::PageTable::setTranslationCacheEnabled(false);
-    const Report uncached = runWith(2, 10);
-    vm::PageTable::setTranslationCacheEnabled(true);
-    EXPECT_EQ(cached.inspectJson().dump(),
-              uncached.inspectJson().dump());
-    EXPECT_EQ(cached.toJson().dump(), uncached.toJson().dump());
 }
 
 TEST(InspectExport, SchemaFieldSignatureIsPinned)

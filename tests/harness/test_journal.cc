@@ -21,6 +21,7 @@
 #include "harness/journal.hh"
 #include "harness/runner.hh"
 #include "hawksim.hh"
+#include "support/scratch_dir.hh"
 
 using namespace hawksim;
 
@@ -92,19 +93,9 @@ traceOf(const Report &r)
 class JournalTest : public ::testing::Test
 {
   protected:
-    void
-    SetUp() override
-    {
-        dir_ = fs::temp_directory_path() / "hawksim_journal_test";
-        fs::remove_all(dir_);
-        fs::create_directories(dir_);
-    }
-
-    void TearDown() override { fs::remove_all(dir_); }
-
     std::string jpath() { return (dir_ / "campaign.hjr").string(); }
 
-    fs::path dir_;
+    test::ScratchDir dir_;
 };
 
 TEST_F(JournalTest, RecordsEveryCompletedPoint)

@@ -22,6 +22,7 @@
 #include "harness/json.hh"
 #include "harness/runner.hh"
 #include "hawksim.hh"
+#include "support/scratch_dir.hh"
 
 using namespace hawksim;
 
@@ -105,10 +106,7 @@ artifactsOf(const Report &r)
 
 TEST(TelemetryInert, ArtifactsIdenticalOnOffAtAnyJobs)
 {
-    const fs::path dir =
-        fs::temp_directory_path() / "hawksim_tele_inert";
-    fs::remove_all(dir);
-    fs::create_directories(dir);
+    const test::ScratchDir dir;
 
     Registry reg;
     registerProbe(reg);
@@ -154,14 +152,11 @@ TEST(TelemetryInert, ArtifactsIdenticalOnOffAtAnyJobs)
         EXPECT_TRUE(hb["finished"].asBool());
         EXPECT_GT(hb["progress"]["sim_ns"].asInt(), 0);
     }
-    fs::remove_all(dir);
 }
 
 TEST(TelemetryInert, CheckpointFilesIdenticalOnOff)
 {
-    const fs::path dir =
-        fs::temp_directory_path() / "hawksim_tele_ckpt";
-    fs::remove_all(dir);
+    const test::ScratchDir dir;
 
     Registry reg;
     registerProbe(reg);
@@ -190,15 +185,11 @@ TEST(TelemetryInert, CheckpointFilesIdenticalOnOff)
         compared++;
     }
     EXPECT_GT(compared, 0u);
-    fs::remove_all(dir);
 }
 
 TEST(TelemetryInert, ResumeTalliesJournalPointsWithoutEta)
 {
-    const fs::path dir =
-        fs::temp_directory_path() / "hawksim_tele_resume";
-    fs::remove_all(dir);
-    fs::create_directories(dir);
+    const test::ScratchDir dir;
 
     Registry reg;
     registerProbe(reg);
@@ -235,7 +226,6 @@ TEST(TelemetryInert, ResumeTalliesJournalPointsWithoutEta)
     EXPECT_EQ(hb["throughput"]["points_per_sec"].asDouble(), 0.0);
     // Replays do not pretend to have simulated anything *here*.
     EXPECT_EQ(hb["progress"]["ticks"].asInt(), 0);
-    fs::remove_all(dir);
 }
 
 TEST(TelemetryInert, SupervisorInstantsAppearOnlyForNonOkPoints)

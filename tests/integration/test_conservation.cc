@@ -8,17 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 #include "hawksim.hh"
 
 using namespace hawksim;
 
 namespace {
-
-struct Param
-{
-    const char *policy;
-    std::uint64_t seed;
-};
 
 std::unique_ptr<policy::HugePagePolicy>
 makePolicy(const std::string &name)
@@ -36,8 +33,9 @@ makePolicy(const std::string &name)
 
 } // namespace
 
+// std::string params keep pointer addresses out of the test names.
 class Conservation
-    : public ::testing::TestWithParam<std::tuple<const char *, int>>
+    : public ::testing::TestWithParam<std::tuple<std::string, int>>
 {};
 
 TEST_P(Conservation, RandomChurnNeverLeaksMemory)

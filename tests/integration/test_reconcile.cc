@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
 #include <tuple>
 
 #include "hawksim.hh"
@@ -87,8 +88,10 @@ checkSnapshotMatchesMetrics(const obs::Snapshot &s,
 
 } // namespace
 
+// std::string, not const char *: gtest prints a pointer param with its
+// address, which would put a per-build address in the test name.
 class Reconcile
-    : public ::testing::TestWithParam<std::tuple<const char *, int>>
+    : public ::testing::TestWithParam<std::tuple<std::string, int>>
 {};
 
 TEST_P(Reconcile, SnapshotAuditorAndMetricsAgree)

@@ -19,6 +19,7 @@
 #include "harness/json.hh"
 #include "obs/cost_account.hh"
 #include "obs/telemetry.hh"
+#include "support/scratch_dir.hh"
 
 namespace hawksim::obs {
 namespace {
@@ -246,9 +247,7 @@ TEST(Prometheus, ExpositionIsWellFormed)
 
 TEST(Sampler, WritesParsableJsonlAndFinalHeartbeat)
 {
-    const fs::path dir =
-        fs::temp_directory_path() / "hawksim_telemetry_test";
-    fs::remove_all(dir);
+    const test::ScratchDir dir;
     const fs::path out = dir / "sub" / "hb.jsonl";
 
     TelemetryHub hub({0x1234, 42, 2}, 1);
@@ -281,7 +280,6 @@ TEST(Sampler, WritesParsableJsonlAndFinalHeartbeat)
     for (std::size_t i = 1; i < lines.size(); i++)
         EXPECT_LT(lines[i - 1]["seq"].asInt(),
                   lines[i]["seq"].asInt());
-    fs::remove_all(dir);
 }
 
 TEST(Sampler, HttpEndpointServesMetricsAndHealthFlips)

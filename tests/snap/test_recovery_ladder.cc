@@ -25,6 +25,7 @@
 #include "harness/runner.hh"
 #include "hawksim.hh"
 #include "snap/snap.hh"
+#include "support/scratch_dir.hh"
 
 using namespace hawksim;
 
@@ -48,16 +49,6 @@ TEST(Ladder, CheckpointPathAndTickRoundTrip)
 class LadderFiles : public ::testing::Test
 {
   protected:
-    void
-    SetUp() override
-    {
-        dir_ = fs::temp_directory_path() / "hawksim_ladder_files";
-        fs::remove_all(dir_);
-        fs::create_directories(dir_);
-    }
-
-    void TearDown() override { fs::remove_all(dir_); }
-
     std::string
     touch(const std::string &name)
     {
@@ -66,7 +57,7 @@ class LadderFiles : public ::testing::Test
         return path;
     }
 
-    fs::path dir_;
+    test::ScratchDir dir_;
 };
 
 TEST_F(LadderFiles, OlderCheckpointsNewestFirst)
@@ -186,16 +177,6 @@ tear(const std::string &path)
 class RecoveryLadder : public ::testing::Test
 {
   protected:
-    void
-    SetUp() override
-    {
-        dir_ = fs::temp_directory_path() / "hawksim_ladder_test";
-        fs::remove_all(dir_);
-        fs::create_directories(dir_);
-    }
-
-    void TearDown() override { fs::remove_all(dir_); }
-
     std::string d(const std::string &sub) { return (dir_ / sub).string(); }
 
     std::string
@@ -205,7 +186,7 @@ class RecoveryLadder : public ::testing::Test
                std::to_string(tick) + ".snap";
     }
 
-    fs::path dir_;
+    test::ScratchDir dir_;
 };
 
 TEST_F(RecoveryLadder, TornCheckpointFallsBackThenResimulates)

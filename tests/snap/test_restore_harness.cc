@@ -19,6 +19,7 @@
 #include "hawksim.hh"
 #include "base/io.hh"
 #include "snap/snap.hh"
+#include "support/scratch_dir.hh"
 
 using namespace hawksim;
 
@@ -103,9 +104,9 @@ only(const Report &r, std::size_t i)
 
 TEST(RestoreHarness, CheckpointedSweepMatchesAcrossJobsAndRestores)
 {
-    const std::string dir1 = "snap_test_tmp/harness-j1";
-    const std::string dir8 = "snap_test_tmp/harness-j8";
-    std::filesystem::remove_all("snap_test_tmp");
+    const test::ScratchDir dir;
+    const std::string dir1 = dir / "harness-j1";
+    const std::string dir8 = dir / "harness-j8";
 
     Registry reg;
     registerSnapChaos(reg);
@@ -153,7 +154,6 @@ TEST(RestoreHarness, CheckpointedSweepMatchesAcrossJobsAndRestores)
                   straight.inspectJson().dump());
         EXPECT_EQ(traceOf(rr), traceOf(straight));
     }
-    std::filesystem::remove_all("snap_test_tmp");
 }
 
 TEST(RestoreHarness, ReplayToTickTruncatesEveryRun)

@@ -25,6 +25,7 @@
 #include "hawksim.hh"
 #include "base/io.hh"
 #include "snap/snap.hh"
+#include "support/scratch_dir.hh"
 
 using namespace hawksim;
 
@@ -77,26 +78,6 @@ makeChaos(bool hawkeye = true, snap::SnapConfig sc = {})
     return sys;
 }
 
-/** Scratch directory inside the build tree; wiped per test. */
-class SnapDir
-{
-  public:
-    explicit SnapDir(const std::string &name)
-        : path_("snap_test_tmp/" + name)
-    {
-        std::filesystem::remove_all(path_);
-        std::filesystem::create_directories(path_);
-    }
-    ~SnapDir() { std::filesystem::remove_all(path_); }
-    std::string operator/(const std::string &f) const
-    {
-        return path_ + "/" + f;
-    }
-
-  private:
-    std::string path_;
-};
-
 TEST(SystemRestore, SaveLoadSaveIsBitEqual)
 {
     auto a = makeChaos();
@@ -134,28 +115,6 @@ TEST(SystemRestore, ResumedChaosRunIsByteIdentical)
     EXPECT_EQ(resumed->saveImage(), want);
 }
 
-TEST(SystemRestore, TranslationCacheToggleDoesNotLeakIntoImages)
-{
-    auto warm = makeChaos();
-    for (int i = 0; i < 20; i++)
-        warm->tick();
-    const std::string cp = warm->saveImage();
-
-    auto straight = makeChaos();
-    straight->runUntilAllDone(sec(30));
-    const std::string want = straight->saveImage();
-
-    // Restore + resume with the page-table translation cache off:
-    // the cache is a simulator-speed knob, so the final image must
-    // still match a straight tcache-on run bit for bit.
-    vm::PageTable::setTranslationCacheEnabled(false);
-    auto resumed = makeChaos();
-    resumed->restoreFromBytes(cp);
-    resumed->runUntilAllDone(sec(30));
-    vm::PageTable::setTranslationCacheEnabled(true);
-    EXPECT_EQ(resumed->saveImage(), want);
-}
-
 TEST(SystemRestore, ForkSkipsPolicySectionAcrossPolicies)
 {
     // Warm-start a *different* policy from a checkpointed image: the
@@ -190,7 +149,8 @@ TEST(SystemRestore, ReplayToTickStopsTheRunLoops)
 
 TEST(SystemRestore, CheckpointEveryEmitsResumableFiles)
 {
-    SnapDir dir("every");
+    const test::ScratchDir scratch;
+    const std::filesystem::path dir = scratch / "every";
     snap::SnapConfig sc;
     sc.checkpointEvery = 8;
     sc.checkpointPrefix = dir / "cp";
@@ -204,7 +164,7 @@ TEST(SystemRestore, CheckpointEveryEmitsResumableFiles)
     // byte-identically, and then resumes to the same final state.
     const std::string cp16 =
         base::readFile(dir / "cp-tick16.snap");
-    SnapDir dir2("every-resume");
+    const std::filesystem::path dir2 = scratch / "every-resume";
     snap::SnapConfig sc2;
     sc2.checkpointEvery = 8;
     sc2.checkpointPrefix = dir2 / "cp";

@@ -1,14 +1,13 @@
 /**
  * @file
- * Translation-cache tests: the epoch counter, invalidation on every
- * structural mutation (promotion, demotion, unmap, COW remap,
+ * Page-table translation coherence: the structural epoch, reads after
+ * every structural mutation (promotion, demotion, unmap, COW remap,
  * madvise), the fused lookupAndTouch walk, and consistency between
- * cached reads and full leaf iteration.
+ * region queries and full leaf iteration.
  *
- * The cache is behavior-invisible by design: every test here warms
- * the cache first (a lookup on the soon-to-be-mutated region), then
- * checks that post-mutation reads see the new truth — exactly what a
- * cacheless table would return.
+ * Each test reads the region first, mutates it, then checks that
+ * later reads see the new truth. (The suite is named after the walk
+ * cache these tests were written for; the table no longer has one.)
  */
 
 #include <gtest/gtest.h>
@@ -49,8 +48,8 @@ TEST(TranslationCache, EpochBumpsOnEveryStructuralMutation)
     pt.unmapHuge(1 << 9);
     EXPECT_TRUE(bumped());
 
-    // Flag-only operations read/write entries through live node
-    // pointers and must NOT invalidate the cache.
+    // Flag-only operations edit entries in place and must not bump
+    // the epoch.
     pt.mapBase(0x200, 7);
     const std::uint64_t before = pt.translationEpoch();
     pt.touch(0x200, true);
@@ -64,7 +63,7 @@ TEST(TranslationCache, PromoteInvalidatesWarmLookup)
     PageTable pt;
     const Vpn base = 3 << 9;
     pt.mapBase(base + 4, 100);
-    // Warm the cache on this region.
+    // Read the region before the mutation.
     ASSERT_TRUE(pt.lookup(base + 4).present);
     ASSERT_EQ(pt.population(3), 1u);
 
@@ -133,7 +132,7 @@ TEST(TranslationCache, MadviseDontneedInvalidatesWarmLookup)
         space.mapBasePage(vpn + i, blk->pfn);
     }
     auto &pt = space.pageTable();
-    ASSERT_TRUE(pt.lookup(vpn + 17).present); // warm
+    ASSERT_TRUE(pt.lookup(vpn + 17).present); // read before
     ASSERT_EQ(pt.population(vpn >> 9), 512u);
 
     space.madviseDontneed(base, kHugePageSize);
@@ -173,30 +172,9 @@ TEST(TranslationCache, LookupAndTouchMatchesLookupThenTouch)
     }
 }
 
-TEST(TranslationCache, RuntimeDisableIsBehaviorIdentical)
-{
-    PageTable on, off;
-    Rng rng(7);
-    for (int i = 0; i < 500; i++) {
-        const Vpn vpn = rng.below(1 << 12);
-        const bool write = rng.chance(0.3);
-        vm::PageTable::setTranslationCacheEnabled(true);
-        if (!on.lookup(vpn).present)
-            on.mapBase(vpn, vpn + 9);
-        vm::Translation a = on.lookupAndTouch(vpn, write);
-        vm::PageTable::setTranslationCacheEnabled(false);
-        if (!off.lookup(vpn).present)
-            off.mapBase(vpn, vpn + 9);
-        vm::Translation b = off.lookupAndTouch(vpn, write);
-        EXPECT_EQ(a.entry.raw(), b.entry.raw());
-        EXPECT_EQ(a.pfn, b.pfn);
-    }
-    vm::PageTable::setTranslationCacheEnabled(true);
-}
-
 /**
  * Consistency sweep: after a random mutation storm with interleaved
- * cache-warming reads, cached population() must agree with a full
+ * reads, population() and regionView() must agree with a full
  * forEachLeaf pass for every region.
  */
 TEST(TranslationCache, ForEachLeafMatchesCachedPopulationSweep)
@@ -207,7 +185,7 @@ TEST(TranslationCache, ForEachLeafMatchesCachedPopulationSweep)
     for (int step = 0; step < 3000; step++) {
         const std::uint64_t region = rng.below(24);
         const Vpn vpn = (region << 9) + rng.below(512);
-        // Interleave reads so cache slots stay warm across mutations.
+        // Interleave reads with the mutations.
         (void)pt.lookup(vpn);
         (void)pt.population(region);
         const bool huge = huge_regions.count(region) &&

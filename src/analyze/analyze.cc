@@ -14,13 +14,6 @@ using harness::Json;
 
 namespace {
 
-bool
-endsWith(std::string_view s, std::string_view suffix)
-{
-    return s.size() >= suffix.size() &&
-           s.substr(s.size() - suffix.size()) == suffix;
-}
-
 /** Serialized bytes of a leaf value (scalars only reach here). */
 std::string
 leafBytes(const Json &j)
@@ -150,23 +143,9 @@ writeOrPrint(const std::string &path, const std::string &text)
 bool
 isToleranceKey(std::string_view key)
 {
-    // Wall-clock dependent leaves: host timing and anything derived
-    // from it. Simulated-time keys (sim_time_ns, tick counts, cost
-    // counters) are deterministic and deliberately NOT listed.
-    if (key == "wall_ms" || key == "total_wall_ms" ||
-        key == "elapsed_ms" || key == "eta_ms")
-        return true;
-    if (endsWith(key, "_ns_min") || endsWith(key, "_ns_median"))
-        return true;
-    if (key.find("ns_per_access") != std::string_view::npos)
-        return true;
-    if (key.find("speedup") != std::string_view::npos)
-        return true;
-    if (key.find("per_sec") != std::string_view::npos)
-        return true;
-    if (key.find("wall_us") != std::string_view::npos)
-        return true;
-    return false;
+    // The host timings --profile writes. Everything else, simulated
+    // time included, is deterministic and compared exactly.
+    return key == "wall_ms" || key == "total_wall_ms";
 }
 
 DiffResult
@@ -207,47 +186,34 @@ int
 runAnalyze(const AnalyzeOptions &opts)
 {
     try {
-        int rc = 0;
-
-        if (!opts.diffPaths.empty()) {
-            std::string errA, errB;
-            Json a = Json::parse(base::readFile(opts.diffPaths[0]),
-                                 &errA);
-            Json b = Json::parse(base::readFile(opts.diffPaths[1]),
-                                 &errB);
-            if (!errA.empty() || !errB.empty()) {
-                std::fprintf(
-                    stderr, "error: %s: %s\n",
-                    (!errA.empty() ? opts.diffPaths[0]
-                                   : opts.diffPaths[1])
-                        .c_str(),
-                    (!errA.empty() ? errA : errB).c_str());
-                return 1;
-            }
-            const DiffResult r =
-                diffJson(a, b, opts.tolerancePct);
-            const Json summary = diffSummaryJson(
-                r, opts.diffPaths[0], opts.diffPaths[1],
-                opts.tolerancePct);
-            writeOrPrint(opts.summaryOut,
-                         summary.dumpPretty() + "\n");
-            if (!opts.summaryOut.empty()) {
-                // Keep a one-line human verdict on stdout even when
-                // the JSON went to a file.
-                std::printf(
-                    "analyze: %zu regression%s, %zu within band "
-                    "(±%g%%), %llu fields\n",
-                    r.regressions.size(),
-                    r.regressions.size() == 1 ? "" : "s",
-                    r.tolerated.size(), opts.tolerancePct,
-                    static_cast<unsigned long long>(
-                        r.fieldsCompared));
-            }
-            if (!r.clean())
-                rc = kExitRegression;
+        std::string errA, errB;
+        const Json a = Json::parse(base::readFile(opts.baseline), &errA);
+        const Json b =
+            Json::parse(base::readFile(opts.candidate), &errB);
+        if (!errA.empty() || !errB.empty()) {
+            std::fprintf(stderr, "error: %s: %s\n",
+                         (!errA.empty() ? opts.baseline
+                                        : opts.candidate)
+                             .c_str(),
+                         (!errA.empty() ? errA : errB).c_str());
+            return 1;
         }
-
-        return rc;
+        const DiffResult r = diffJson(a, b, opts.tolerancePct);
+        const Json summary = diffSummaryJson(
+            r, opts.baseline, opts.candidate, opts.tolerancePct);
+        writeOrPrint(opts.summaryOut, summary.dumpPretty() + "\n");
+        if (!opts.summaryOut.empty()) {
+            // Keep a one-line human verdict on stdout even when the
+            // JSON went to a file.
+            std::printf("analyze: %zu regression%s, %zu within band "
+                        "(±%g%%), %llu fields\n",
+                        r.regressions.size(),
+                        r.regressions.size() == 1 ? "" : "s",
+                        r.tolerated.size(), opts.tolerancePct,
+                        static_cast<unsigned long long>(
+                            r.fieldsCompared));
+        }
+        return r.clean() ? 0 : kExitRegression;
     } catch (const RecoverableError &e) {
         std::fprintf(stderr, "error: %s\n", e.what());
         return 1;

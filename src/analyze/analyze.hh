@@ -5,14 +5,13 @@
  *
  * The diff engine walks two JSON documents member-by-member. Every
  * field is compared *bit-exact* on its serialized bytes — that is the
- * whole point of the harness's canonical-JSON contract — except keys
- * whose leaf name marks them as wall-clock dependent (wall_ms,
- * *_ns_median, *speedup*, ...), which get a relative tolerance band
- * instead. hawksim-report/v1 files contain no wall-clock keys at all,
- * so report diffs are fully exact; `--profile` and telemetry output
- * carry the banded wall-clock leaves.
+ * whole point of the harness's canonical-JSON contract — except the
+ * two wall-clock leaves `--profile` writes, `wall_ms` and
+ * `total_wall_ms`, which get a relative tolerance band instead.
+ * hawksim-report/v1 files contain no wall-clock keys at all, so
+ * report diffs are fully exact.
  *
- * runAnalyze is the `--analyze` CLI mode: exit 0 when clean, 3 on a
+ * runAnalyze is the `--diff` CLI mode: exit 0 when clean, 3 on a
  * regression (CI gates on it), 2 on usage errors, 1 on environment
  * failures — mirroring the main campaign exit codes, with 3 kept
  * distinct so a gate can tell "the diff found something" from "the
@@ -38,9 +37,9 @@ inline constexpr int kExitRegression = 3;
 
 struct AnalyzeOptions
 {
-    /** Exactly two artifact paths to diff (--diff A B; empty = no
-     *  diff). Order is (baseline, candidate). */
-    std::vector<std::string> diffPaths;
+    /** The two artifacts to diff (--diff A B). */
+    std::string baseline;
+    std::string candidate;
     /** Machine-readable diff summary destination (--summary-out;
      *  "" = stdout). */
     std::string summaryOut;
@@ -78,7 +77,8 @@ struct DiffResult
 
 /**
  * Is the *leaf* key @p key wall-clock dependent, i.e. compared with
- * a tolerance band instead of bit-exact bytes?
+ * a tolerance band instead of bit-exact bytes? Only the keys an
+ * artifact actually carries are: `wall_ms` and `total_wall_ms`.
  */
 bool isToleranceKey(std::string_view key);
 
@@ -93,7 +93,7 @@ harness::Json diffSummaryJson(const DiffResult &r,
                               const std::string &pathB,
                               double tolerancePct);
 
-/** The --analyze CLI mode. */
+/** The --diff CLI mode. */
 int runAnalyze(const AnalyzeOptions &opts);
 
 } // namespace hawksim::analyze

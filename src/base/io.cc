@@ -173,10 +173,4 @@ appendFileDurable(const std::string &path, std::string_view bytes)
         throwIo("cannot close", path, errno);
 }
 
-bool
-fdIsTty(int fd)
-{
-    return ::isatty(fd) == 1;
-}
-
 } // namespace hawksim::base

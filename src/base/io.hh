@@ -64,13 +64,6 @@ void truncateFile(const std::string &path, std::uint64_t length);
  */
 void appendFileDurable(const std::string &path, std::string_view bytes);
 
-/**
- * Is @p fd an interactive terminal? Decides the --progress render
- * mode: a TTY gets a carriage-return status line, CI logs get one
- * whole line per heartbeat.
- */
-bool fdIsTty(int fd);
-
 } // namespace hawksim::base
 
 #endif // HAWKSIM_BASE_IO_HH

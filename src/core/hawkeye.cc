@@ -62,17 +62,12 @@ HawkEyePolicy::onProcessStart(sim::System &sys, sim::Process &proc)
     st.tracker = std::make_unique<AccessTracker>(cfg_.samplePeriod,
                                                  cfg_.sampleWindow);
     AccessMap *map = &st.map;
-    sim::Process *p = &proc;
-    auto &pt = proc.space().pageTable();
-    st.tracker->setHook([map, p, &pt](std::uint64_t region, double ema,
-                                      unsigned raw, bool is_huge) {
-        (void)raw;
-        (void)p;
-        if (is_huge || pt.isHuge(region)) {
+    st.tracker->setHook([map](std::uint64_t region, double ema,
+                              unsigned, bool is_huge) {
+        if (is_huge)
             map->remove(region);
-            return;
-        }
-        map->update(region, ema);
+        else
+            map->update(region, ema);
     });
 }
 

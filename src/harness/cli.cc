@@ -3,11 +3,11 @@
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "analyze/analyze.hh"
 #include "base/error.hh"
@@ -26,6 +26,7 @@ printUsage(const char *argv0)
 {
     std::printf(
         "usage: %s [options]\n"
+        "       %s --diff A B [--summary-out FILE] [--tolerance PCT]\n"
         "\n"
         "  --list           list experiments and grid sizes, then exit\n"
         "  --filter SUBSTR  run only grid points whose experiment name\n"
@@ -41,14 +42,12 @@ printUsage(const char *argv0)
         "                   for any --jobs\n"
         "  --trace-filter C comma-separated event categories to trace\n"
         "                   (fault,promote,demote,zero,bloat,compact,\n"
-        "                   reclaim,tlb,proc; default: all)\n"
+        "                   reclaim,tlb,proc,chaos; default: all)\n"
         "  --chaos          enable fault injection + invariant audits\n"
-        "                   + the deterministic OOM killer (default\n"
-        "                   rate 0.01 unless --fault-rate or\n"
-        "                   --fault-script is given); the report is\n"
-        "                   still identical for any --jobs\n"
-        "  --fault-rate R   per-probe injection probability in [0,1]\n"
-        "                   (implies --chaos)\n"
+        "                   + the deterministic OOM killer (per-probe\n"
+        "                   rate 0.01 unless --fault-script is given);\n"
+        "                   the report is still identical for any\n"
+        "                   --jobs\n"
         "  --fault-script F scripted injection: lines of\n"
         "                   \"<site> <occurrence>\" (1-based), e.g.\n"
         "                   \"buddy-alloc 3\"; disables probabilistic\n"
@@ -100,32 +99,20 @@ printUsage(const char *argv0)
         "                   replay --journal FILE and re-run only the\n"
         "                   missing points; the final report is\n"
         "                   byte-identical to an uninterrupted run\n"
-        "  --progress       live status line on stderr (rewritten in\n"
-        "                   place on a TTY, one line per heartbeat\n"
-        "                   otherwise); replaces per-run lines\n"
-        "  --telemetry-out FILE\n"
-        "                   append one hawksim-telemetry/v1 heartbeat\n"
-        "                   per line (JSONL) while the campaign runs\n"
-        "  --telemetry-port N\n"
-        "                   serve Prometheus text on\n"
-        "                   http://127.0.0.1:N/metrics (+ /healthz);\n"
-        "                   0 picks an ephemeral port\n"
-        "  --telemetry-interval SEC\n"
-        "                   heartbeat period (default 1.0)\n"
-        "  --analyze        report analytics instead of running the\n"
-        "                   grid; needs --diff\n"
-        "  --diff A B       diff two canonical artifacts: pinned\n"
-        "                   fields byte-exact, wall-clock keys within\n"
+        "  --diff A B       diff two canonical artifacts instead of\n"
+        "                   running the grid: pinned fields\n"
+        "                   byte-exact, wall-clock keys within\n"
         "                   --tolerance; exit 3 on regression\n"
         "  --summary-out FILE\n"
         "                   machine-readable diff summary JSON\n"
         "                   (default stdout)\n"
         "  --tolerance PCT  relative band for wall-clock keys in\n"
         "                   --diff (default 25)\n"
-        "  --pretty         indent the report\n"
-        "  --quiet          no per-run progress on stderr\n"
+        "  --quiet          no per-run progress lines on stderr\n"
+        "                   (each line ends with the campaign's ETA\n"
+        "                   once a point has executed)\n"
         "  --help           this text\n",
-        argv0);
+        argv0, argv0);
 }
 
 /**
@@ -141,36 +128,86 @@ usageError(const std::string &msg)
     return 2;
 }
 
-bool
-parseUint(const char *s, std::uint64_t &out)
+/** A rejected argument; runCli reports it through usageError. */
+struct ArgError
 {
-    const char *end = s + std::strlen(s);
-    auto res = std::from_chars(s, end, out);
+    std::string msg;
+};
+
+/** Decimal digits only, the whole of @p s, no sign. */
+bool
+parseUint(std::string_view s, std::uint64_t &out)
+{
+    const char *end = s.data() + s.size();
+    const auto res = std::from_chars(s.data(), end, out);
     return res.ec == std::errc() && res.ptr == end;
 }
 
-bool
-parseProbability(const char *s, double &out)
+/** Walks argv; the value readers throw ArgError on bad input. */
+class ArgReader
 {
-    char *end = nullptr;
-    out = std::strtod(s, &end);
-    return end && *end == '\0' && end != s && out >= 0.0 &&
-           out <= 1.0;
-}
+  public:
+    ArgReader(int argc, char **argv) : argc_(argc), argv_(argv) {}
+
+    /** Step to the next flag; false past the last one. */
+    bool
+    next()
+    {
+        if (++i_ >= argc_)
+            return false;
+        flag_ = argv_[i_];
+        return true;
+    }
+
+    const std::string &flag() const { return flag_; }
+
+    const char *
+    value()
+    {
+        if (i_ + 1 >= argc_)
+            throw ArgError{flag_ + " needs a value"};
+        return argv_[++i_];
+    }
+
+    std::uint64_t
+    uintValue()
+    {
+        std::uint64_t n = 0;
+        if (!parseUint(value(), n))
+            throw ArgError{"bad " + flag_ + " value"};
+        return n;
+    }
+
+    /** A number that passes @p ok; @p need says which ones do. */
+    double
+    doubleValue(const char *need, bool (*ok)(double))
+    {
+        const char *v = value();
+        char *end = nullptr;
+        const double x = std::strtod(v, &end);
+        if (end == v || *end != '\0' || !ok(x))
+            throw ArgError{"bad " + flag_ + " value (need " + need +
+                           ")"};
+        return x;
+    }
+
+  private:
+    int argc_;
+    char **argv_;
+    int i_ = 0;
+    std::string flag_;
+};
 
 /**
  * Parse a fault script: one "<site> <occurrence>" pair per line,
  * occurrences 1-based; '#' starts a comment, blank lines ignored.
  */
-bool
+void
 loadFaultScript(const std::string &path, fault::FaultConfig &cfg)
 {
     std::ifstream is(path);
-    if (!is) {
-        std::fprintf(stderr, "error: cannot open fault script %s\n",
-                     path.c_str());
-        return false;
-    }
+    if (!is)
+        throw ArgError{"cannot open fault script " + path};
     std::string line;
     int lineno = 0;
     while (std::getline(is, line)) {
@@ -179,31 +216,25 @@ loadFaultScript(const std::string &path, fault::FaultConfig &cfg)
         std::string tok;
         if (!(ls >> tok) || tok[0] == '#')
             continue;
+        const std::string where = path + ":" + std::to_string(lineno);
         const auto site = fault::siteFromName(tok);
         if (!site) {
-            std::fprintf(stderr,
-                         "error: %s:%d: unknown fault site '%s'; "
-                         "valid: ",
-                         path.c_str(), lineno, tok.c_str());
+            std::string msg =
+                where + ": unknown fault site '" + tok + "'; valid: ";
             for (unsigned s = 0; s < fault::kSiteCount; s++) {
-                std::fprintf(stderr, "%s%s", s ? "," : "",
-                             fault::siteName(
-                                 static_cast<fault::Site>(s)));
+                if (s)
+                    msg += ",";
+                msg += fault::siteName(static_cast<fault::Site>(s));
             }
-            std::fprintf(stderr, "\n");
-            return false;
+            throw ArgError{msg};
         }
+        std::string occTok;
         std::uint64_t occ = 0;
-        if (!(ls >> occ) || occ == 0) {
-            std::fprintf(stderr,
-                         "error: %s:%d: bad occurrence (1-based "
-                         "integer required)\n",
-                         path.c_str(), lineno);
-            return false;
-        }
+        if (!(ls >> occTok) || !parseUint(occTok, occ) || occ == 0)
+            throw ArgError{where +
+                           ": bad occurrence (1-based integer required)"};
         cfg.script.emplace_back(*site, occ);
     }
-    return true;
 }
 
 } // namespace
@@ -214,269 +245,111 @@ runCli(int argc, char **argv, Registry &reg)
     RunnerOptions opts;
     opts.verbose = true;
     bool list = false;
-    bool pretty = false;
     std::string out_path = "results/bench.json";
     std::string profile_path;
     std::string trace_path;
     std::string inspect_path;
     std::string heatmap_path;
     bool chaos = false;
-    bool rate_set = false;
-    bool analyze_mode = false;
+    bool diff = false;
     analyze::AnalyzeOptions an;
 
-    for (int i = 1; i < argc; i++) {
-        const std::string arg = argv[i];
-        auto value = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "error: %s needs a value\n",
-                             arg.c_str());
-                return nullptr;
-            }
-            return argv[++i];
-        };
-        if (arg == "--list") {
-            list = true;
-        } else if (arg == "--filter") {
-            const char *v = value();
-            if (!v)
-                return 2;
-            opts.filter = v;
-        } else if (arg == "--jobs") {
-            const char *v = value();
-            std::uint64_t n = 0;
-            if (!v || !parseUint(v, n)) {
-                std::fprintf(stderr, "error: bad --jobs value\n");
-                return 2;
-            }
-            opts.jobs = static_cast<unsigned>(n);
-        } else if (arg == "--seed") {
-            const char *v = value();
-            std::uint64_t s = 0;
-            if (!v || !parseUint(v, s)) {
-                std::fprintf(stderr, "error: bad --seed value\n");
-                return 2;
-            }
-            opts.masterSeed = s;
-        } else if (arg == "--out") {
-            const char *v = value();
-            if (!v)
-                return 2;
-            out_path = v;
-        } else if (arg == "--profile") {
-            const char *v = value();
-            if (!v)
-                return 2;
-            profile_path = v;
-        } else if (arg == "--trace") {
-            const char *v = value();
-            if (!v)
-                return 2;
-            trace_path = v;
-        } else if (arg == "--trace-filter") {
-            const char *v = value();
-            if (!v)
-                return 2;
-            auto mask = obs::parseCatMask(v);
-            if (!mask) {
-                std::fprintf(
-                    stderr,
-                    "bad --trace-filter '%s'; valid categories: ",
-                    v);
-                for (unsigned c = 0; c < obs::kCatCount; c++) {
-                    std::fprintf(stderr, "%s%s", c ? "," : "",
-                                 obs::catName(
-                                     static_cast<obs::Cat>(c)));
+    try {
+        for (ArgReader args(argc, argv); args.next();) {
+            const std::string &arg = args.flag();
+            if (arg == "--list") {
+                list = true;
+            } else if (arg == "--filter") {
+                opts.filter = args.value();
+            } else if (arg == "--jobs") {
+                opts.jobs = static_cast<unsigned>(args.uintValue());
+            } else if (arg == "--seed") {
+                opts.masterSeed = args.uintValue();
+            } else if (arg == "--out") {
+                out_path = args.value();
+            } else if (arg == "--profile") {
+                profile_path = args.value();
+            } else if (arg == "--trace") {
+                trace_path = args.value();
+            } else if (arg == "--trace-filter") {
+                const std::string v = args.value();
+                const auto mask = obs::parseCatMask(v);
+                if (!mask) {
+                    std::string msg = "bad --trace-filter '" + v +
+                                      "'; valid categories: ";
+                    for (unsigned c = 0; c < obs::kCatCount; c++) {
+                        if (c)
+                            msg += ",";
+                        msg += obs::catName(static_cast<obs::Cat>(c));
+                    }
+                    throw ArgError{msg};
                 }
-                std::fprintf(stderr, "\n");
+                opts.trace.mask = *mask;
+            } else if (arg == "--chaos") {
+                chaos = true;
+            } else if (arg == "--fault-script") {
+                loadFaultScript(args.value(), opts.fault);
+                chaos = true;
+            } else if (arg == "--audit-every") {
+                opts.fault.auditEvery = args.uintValue();
+            } else if (arg == "--inspect-every") {
+                opts.inspect.everyTicks = args.uintValue();
+            } else if (arg == "--inspect-out") {
+                inspect_path = args.value();
+            } else if (arg == "--heatmap") {
+                heatmap_path = args.value();
+            } else if (arg == "--checkpoint-every") {
+                opts.snap.checkpointEvery = args.uintValue();
+            } else if (arg == "--checkpoint-out") {
+                opts.checkpointOut = args.value();
+            } else if (arg == "--restore") {
+                opts.snap.restorePath = args.value();
+            } else if (arg == "--replay-to") {
+                opts.snap.replayToTick = args.uintValue();
+                if (opts.snap.replayToTick == 0)
+                    throw ArgError{"bad --replay-to value (need a "
+                                   "tick > 0)"};
+            } else if (arg == "--checkpoint-keep") {
+                opts.snap.checkpointKeep = args.uintValue();
+            } else if (arg == "--restore-strict") {
+                opts.snap.restoreStrict = true;
+            } else if (arg == "--retries") {
+                opts.supervise.retries =
+                    static_cast<unsigned>(args.uintValue());
+            } else if (arg == "--point-timeout") {
+                opts.supervise.pointTimeoutSec = args.doubleValue(
+                    "seconds > 0", [](double x) { return x > 0.0; });
+            } else if (arg == "--journal") {
+                opts.journalPath = args.value();
+            } else if (arg == "--resume-campaign") {
+                opts.resumeCampaign = true;
+            } else if (arg == "--diff") {
+                // Consumes TWO values: baseline, then candidate.
+                an.baseline = args.value();
+                an.candidate = args.value();
+                diff = true;
+            } else if (arg == "--summary-out") {
+                an.summaryOut = args.value();
+            } else if (arg == "--tolerance") {
+                an.tolerancePct = args.doubleValue(
+                    "a percentage >= 0",
+                    [](double x) { return x >= 0.0; });
+            } else if (arg == "--quiet") {
+                opts.verbose = false;
+            } else if (arg == "--help" || arg == "-h") {
+                printUsage(argv[0]);
+                return 0;
+            } else {
+                usageError("unknown option " + arg);
+                printUsage(argv[0]);
                 return 2;
             }
-            opts.trace.mask = *mask;
-        } else if (arg == "--chaos") {
-            chaos = true;
-        } else if (arg == "--fault-rate") {
-            const char *v = value();
-            double r = 0.0;
-            if (!v || !parseProbability(v, r)) {
-                std::fprintf(stderr,
-                             "bad --fault-rate value (need a number "
-                             "in [0,1])\n");
-                return 2;
-            }
-            opts.fault.rate = r;
-            rate_set = true;
-            chaos = true;
-        } else if (arg == "--fault-script") {
-            const char *v = value();
-            if (!v || !loadFaultScript(v, opts.fault))
-                return 2;
-            chaos = true;
-        } else if (arg == "--audit-every") {
-            const char *v = value();
-            std::uint64_t n = 0;
-            if (!v || !parseUint(v, n)) {
-                std::fprintf(stderr, "error: bad --audit-every value\n");
-                return 2;
-            }
-            opts.fault.auditEvery = n;
-        } else if (arg == "--inspect-every") {
-            const char *v = value();
-            std::uint64_t n = 0;
-            if (!v || !parseUint(v, n)) {
-                std::fprintf(stderr, "error: bad --inspect-every value\n");
-                return 2;
-            }
-            opts.inspect.everyTicks = n;
-        } else if (arg == "--inspect-out") {
-            const char *v = value();
-            if (!v)
-                return 2;
-            inspect_path = v;
-        } else if (arg == "--heatmap") {
-            const char *v = value();
-            if (!v)
-                return 2;
-            heatmap_path = v;
-        } else if (arg == "--checkpoint-every") {
-            const char *v = value();
-            std::uint64_t n = 0;
-            if (!v || !parseUint(v, n)) {
-                std::fprintf(stderr,
-                             "bad --checkpoint-every value\n");
-                return 2;
-            }
-            opts.snap.checkpointEvery = n;
-        } else if (arg == "--checkpoint-out") {
-            const char *v = value();
-            if (!v)
-                return 2;
-            opts.checkpointOut = v;
-        } else if (arg == "--restore") {
-            const char *v = value();
-            if (!v)
-                return 2;
-            opts.snap.restorePath = v;
-        } else if (arg == "--replay-to") {
-            const char *v = value();
-            std::uint64_t n = 0;
-            if (!v || !parseUint(v, n) || n == 0) {
-                std::fprintf(stderr, "error: bad --replay-to value\n");
-                return 2;
-            }
-            opts.snap.replayToTick = n;
-        } else if (arg == "--checkpoint-keep") {
-            const char *v = value();
-            std::uint64_t n = 0;
-            if (!v || !parseUint(v, n)) {
-                std::fprintf(stderr,
-                             "error: bad --checkpoint-keep value\n");
-                return 2;
-            }
-            opts.snap.checkpointKeep = n;
-        } else if (arg == "--restore-strict") {
-            opts.snap.restoreStrict = true;
-        } else if (arg == "--retries") {
-            const char *v = value();
-            std::uint64_t n = 0;
-            if (!v || !parseUint(v, n)) {
-                std::fprintf(stderr, "error: bad --retries value\n");
-                return 2;
-            }
-            opts.supervise.retries = static_cast<unsigned>(n);
-        } else if (arg == "--point-timeout") {
-            const char *v = value();
-            char *end = nullptr;
-            const double sec = v ? std::strtod(v, &end) : 0.0;
-            if (!v || !end || *end != '\0' || end == v || sec <= 0.0) {
-                std::fprintf(
-                    stderr,
-                    "error: bad --point-timeout value (need seconds "
-                    "> 0)\n");
-                return 2;
-            }
-            opts.supervise.pointTimeoutSec = sec;
-        } else if (arg == "--journal") {
-            const char *v = value();
-            if (!v)
-                return 2;
-            opts.journalPath = v;
-        } else if (arg == "--resume-campaign") {
-            opts.resumeCampaign = true;
-        } else if (arg == "--progress") {
-            opts.telemetry.progress = true;
-        } else if (arg == "--telemetry-out") {
-            const char *v = value();
-            if (!v)
-                return 2;
-            opts.telemetry.jsonlPath = v;
-        } else if (arg == "--telemetry-port") {
-            const char *v = value();
-            std::uint64_t n = 0;
-            if (!v || !parseUint(v, n) || n > 65535) {
-                std::fprintf(stderr,
-                             "error: bad --telemetry-port value "
-                             "(need a port in [0,65535])\n");
-                return 2;
-            }
-            opts.telemetry.httpPort = static_cast<int>(n);
-        } else if (arg == "--telemetry-interval") {
-            const char *v = value();
-            char *end = nullptr;
-            const double sec = v ? std::strtod(v, &end) : 0.0;
-            if (!v || !end || *end != '\0' || end == v ||
-                sec <= 0.0) {
-                std::fprintf(stderr,
-                             "error: bad --telemetry-interval value "
-                             "(need seconds > 0)\n");
-                return 2;
-            }
-            opts.telemetry.intervalSec = sec;
-        } else if (arg == "--analyze") {
-            analyze_mode = true;
-        } else if (arg == "--diff") {
-            // Consumes TWO values: baseline, then candidate.
-            const char *a = value();
-            if (!a)
-                return 2;
-            const char *b = value();
-            if (!b)
-                return 2;
-            an.diffPaths = {a, b};
-            analyze_mode = true;
-        } else if (arg == "--summary-out") {
-            const char *v = value();
-            if (!v)
-                return 2;
-            an.summaryOut = v;
-        } else if (arg == "--tolerance") {
-            const char *v = value();
-            char *end = nullptr;
-            const double pct = v ? std::strtod(v, &end) : 0.0;
-            if (!v || !end || *end != '\0' || end == v ||
-                pct < 0.0) {
-                std::fprintf(stderr,
-                             "error: bad --tolerance value (need a "
-                             "percentage >= 0)\n");
-                return 2;
-            }
-            an.tolerancePct = pct;
-        } else if (arg == "--pretty") {
-            pretty = true;
-        } else if (arg == "--quiet") {
-            opts.verbose = false;
-        } else if (arg == "--help" || arg == "-h") {
-            printUsage(argv[0]);
-            return 0;
-        } else {
-            std::fprintf(stderr, "unknown option %s\n", arg.c_str());
-            printUsage(argv[0]);
-            return 2;
         }
+    } catch (const ArgError &e) {
+        return usageError(e.msg);
     }
 
-    if (analyze_mode) {
-        if (an.diffPaths.empty())
-            return usageError("--analyze needs --diff");
+    if (diff) {
         setLogQuiet(true);
         return analyze::runAnalyze(an);
     }
@@ -495,10 +368,10 @@ runCli(int argc, char **argv, Registry &reg)
                           "' does not exist");
 
     if (chaos) {
-        // Chaos mode: inject (default rate 0.01 unless the user was
-        // specific), audit after every injected fault, and let the
+        // Chaos mode: inject (rate 0.01 unless a script says exactly
+        // where), audit after every injected fault, and let the
         // deterministic OOM killer engage instead of self-kills.
-        if (!rate_set && opts.fault.script.empty())
+        if (opts.fault.script.empty())
             opts.fault.rate = 0.01;
         opts.fault.auditOnFault = true;
         opts.fault.oomKiller = true;
@@ -529,10 +402,6 @@ runCli(int argc, char **argv, Registry &reg)
     }
 
     setLogQuiet(true);
-    // --progress owns the stderr line; per-run progress lines would
-    // shred it every completion.
-    if (opts.telemetry.progress)
-        opts.verbose = false;
     opts.trace.enabled = !trace_path.empty();
     // Snapshot artifacts need a sampling period; default to every
     // 100 ticks when only an output path was given.
@@ -551,9 +420,7 @@ runCli(int argc, char **argv, Registry &reg)
             return 1;
         }
 
-        const Json json = report.toJson();
-        base::atomicWriteFile(out_path, pretty ? json.dumpPretty()
-                                               : json.dump());
+        base::atomicWriteFile(out_path, report.toJson().dump());
         if (!profile_path.empty())
             base::atomicWriteFile(profile_path,
                                   report.profileJson().dumpPretty());
@@ -563,10 +430,8 @@ runCli(int argc, char **argv, Registry &reg)
             base::atomicWriteFile(trace_path, os.str());
         }
         if (!inspect_path.empty())
-            base::atomicWriteFile(
-                inspect_path, pretty
-                                  ? report.inspectJson().dumpPretty()
-                                  : report.inspectJson().dump());
+            base::atomicWriteFile(inspect_path,
+                                  report.inspectJson().dump());
         if (!heatmap_path.empty()) {
             std::string art;
             for (const RunRecord &r : report.runs) {

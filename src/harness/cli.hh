@@ -2,11 +2,20 @@
  * @file
  * Command-line front end of the experiment harness.
  *
- * `hawksim_bench` usage:
+ * `hawksim_bench` usage (`--help` explains each flag):
  *
  *   hawksim_bench [--list] [--filter SUBSTR] [--jobs N] [--seed S]
- *                 [--out FILE] [--profile FILE] [--trace FILE]
- *                 [--trace-filter CATS] [--pretty] [--quiet]
+ *                 [--out FILE] [--profile FILE] [--quiet]
+ *                 [--trace FILE] [--trace-filter CATS]
+ *                 [--inspect-every N] [--inspect-out FILE]
+ *                 [--heatmap FILE]
+ *                 [--chaos] [--fault-script FILE] [--audit-every N]
+ *                 [--checkpoint-every N] [--checkpoint-out DIR]
+ *                 [--checkpoint-keep N] [--restore FILE]
+ *                 [--restore-strict] [--replay-to TICK]
+ *                 [--retries N] [--point-timeout SEC]
+ *                 [--journal FILE] [--resume-campaign]
+ *   hawksim_bench --diff A B [--summary-out FILE] [--tolerance PCT]
  *
  * The canonical JSON report (deterministic for a given seed/filter,
  * independent of --jobs) is written to --out

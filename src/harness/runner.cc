@@ -315,9 +315,10 @@ Report::writeTrace(std::ostream &os) const
         // block. Same carve-out as that block: only non-ok points
         // are annotated — a retried-but-recovered run is
         // byte-identical to a first-try success in *every* canonical
-        // artifact, trace included (its retries surface in telemetry
-        // instead). A failed point's ledger does include the retry
-        // instants that led up to the terminal failure.
+        // artifact, trace included (its attempt count shows only on
+        // the runner's stderr line). A failed point's ledger does
+        // include the retry instants that led up to the terminal
+        // failure.
         if (i < statuses.size()) {
             const PointStatus &ps = statuses[i];
             if (!ps.ok() && !ps.fromJournal) {
@@ -371,6 +372,36 @@ Report::inspectJson() const
     return out;
 }
 
+std::optional<double>
+etaMs(std::size_t fresh, std::size_t done, std::size_t total,
+      double elapsedMs)
+{
+    if (fresh == 0 || done >= total || elapsedMs <= 0.0)
+        return std::nullopt;
+    return static_cast<double>(total - done) * elapsedMs /
+           static_cast<double>(fresh);
+}
+
+namespace {
+
+/** "m:ss", or "h:mm:ss" from an hour on. */
+std::string
+formatEta(double ms)
+{
+    const auto sec = static_cast<unsigned long long>(ms / 1e3 + 0.5);
+    char buf[32];
+    if (sec >= 3600) {
+        std::snprintf(buf, sizeof(buf), "%llu:%02llu:%02llu",
+                      sec / 3600, sec / 60 % 60, sec % 60);
+    } else {
+        std::snprintf(buf, sizeof(buf), "%llu:%02llu", sec / 60,
+                      sec % 60);
+    }
+    return buf;
+}
+
+} // namespace
+
 bool
 Runner::matches(const std::string &filter, const RunPoint &point)
 {
@@ -412,10 +443,10 @@ Runner::run(const Registry &reg) const
     // Campaign journal: replay already-completed points on resume,
     // then (re)open the file so fresh completions append behind the
     // valid prefix.
-    const std::uint64_t fp = campaignFingerprint(reg, opts_);
     std::unordered_map<std::string, RunRecord> journaled;
     std::unique_ptr<CampaignJournal> journal;
     if (!opts_.journalPath.empty()) {
+        const std::uint64_t fp = campaignFingerprint(reg, opts_);
         std::uint64_t keep = 0;
         if (opts_.resumeCampaign) {
             CampaignJournal::Loaded loaded =
@@ -443,39 +474,20 @@ Runner::run(const Registry &reg) const
         std::min<std::size_t>(jobCount, std::max<std::size_t>(
                                             jobs.size(), 1)));
 
-    // Telemetry rides alongside the sweep: the hub always exists
-    // (bumping a few relaxed atomics per *grid point* is free), the
-    // sampler thread only when some output was requested. Nothing
-    // below feeds back into the runs, so every canonical artifact is
-    // byte-identical with telemetry on or off.
-    obs::TelemetryHub hub({fp, opts_.masterSeed, jobs.size()},
-                          jobCount);
-    std::unique_ptr<obs::TelemetrySampler> sampler;
-    if (opts_.telemetry.enabled()) {
-        sampler = std::make_unique<obs::TelemetrySampler>(
-            hub, opts_.telemetry);
-        if (opts_.telemetry.httpPort >= 0) {
-            std::fprintf(stderr,
-                         "telemetry: http://127.0.0.1:%u/metrics\n",
-                         sampler->httpPort());
-        }
-    }
-
     const auto sweep_start = std::chrono::steady_clock::now();
     std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> done{0};
+    // Per-point stderr lines; their counters exist only for them.
     std::mutex io_mutex;
+    std::size_t done = 0;
+    std::size_t fresh = 0;
     Watchdog watchdog(opts_.supervise.pointTimeoutSec);
     auto worker = [&](unsigned slot) {
         RunControl ctl;
-        hub.attachSlot(slot, &ctl);
         for (;;) {
             const std::size_t i =
                 next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= jobs.size()) {
-                hub.attachSlot(slot, nullptr);
+            if (i >= jobs.size())
                 return;
-            }
             const Job &job = jobs[i];
             RunRecord &rec = report.runs[i];
             PointStatus &status = report.statuses[i];
@@ -490,14 +502,10 @@ Runner::run(const Registry &reg) const
                 rec = std::move(it->second);
                 status.fromJournal = true;
                 status.attempts = 0;
-                hub.pointDone(0, rec.output.simTimeNs,
-                              rec.output.cost, /*fromJournal=*/true);
-                const std::size_t finished =
-                    done.fetch_add(1, std::memory_order_relaxed) + 1;
                 if (opts_.verbose) {
                     std::lock_guard<std::mutex> lock(io_mutex);
                     std::fprintf(stderr, "[%zu/%zu] %s %s (journal)\n",
-                                 finished, jobs.size(),
+                                 ++done, jobs.size(),
                                  job.point.experiment.c_str(),
                                  job.point.label().c_str());
                 }
@@ -537,55 +545,31 @@ Runner::run(const Registry &reg) const
             };
             status = supervisePoint(opts_.supervise, ctl, &watchdog,
                                     slot, attempt);
-            for (const AttemptEvent &ev : status.events) {
-                if (ev.kind == AttemptEvent::Kind::kRetry)
-                    hub.pointRetried();
-            }
-            if (status.ok() && journal) {
-                const auto j0 = std::chrono::steady_clock::now();
-                journal->append(rec,
-                                ioFault ? &*ioFault : nullptr);
-                hub.addStageWallUs(
-                    obs::Stage::kJournal,
-                    static_cast<std::uint64_t>(
-                        std::chrono::duration_cast<
-                            std::chrono::microseconds>(
-                            std::chrono::steady_clock::now() - j0)
-                            .count()));
-            }
-            if (ioFault)
-                hub.addIoFaultsInjected(ioFault->totalInjected());
-            if (status.ok()) {
-                hub.addStageWallUs(
-                    obs::Stage::kRun,
-                    static_cast<std::uint64_t>(rec.wallMs * 1000.0));
-                hub.pointDone(
-                    ctl.heartbeat.load(std::memory_order_relaxed),
-                    rec.output.simTimeNs, rec.output.cost,
-                    /*fromJournal=*/false);
-            } else {
-                hub.pointFailed(status.state ==
-                                PointStatus::State::kTimedOut);
-            }
-            const std::size_t finished =
-                done.fetch_add(1, std::memory_order_relaxed) + 1;
+            if (status.ok() && journal)
+                journal->append(rec, ioFault ? &*ioFault : nullptr);
             if (opts_.verbose) {
                 std::lock_guard<std::mutex> lock(io_mutex);
-                if (status.clean()) {
-                    std::fprintf(stderr, "[%zu/%zu] %s %s (%.0f ms)\n",
-                                 finished, jobs.size(),
-                                 job.point.experiment.c_str(),
-                                 job.point.label().c_str(),
-                                 rec.wallMs);
-                } else {
-                    std::fprintf(
-                        stderr,
-                        "[%zu/%zu] %s %s (%.0f ms, %s, %u attempts)\n",
-                        finished, jobs.size(),
-                        job.point.experiment.c_str(),
-                        job.point.label().c_str(), rec.wallMs,
-                        stateName(status.state), status.attempts);
+                ++done;
+                ++fresh;
+                std::string note;
+                if (!status.clean()) {
+                    note += ", ";
+                    note += stateName(status.state);
+                    note += ", " + std::to_string(status.attempts) +
+                            " attempts";
                 }
+                const std::optional<double> eta = etaMs(
+                    fresh, done, jobs.size(),
+                    std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - sweep_start)
+                        .count());
+                if (eta)
+                    note += ", ETA " + formatEta(*eta);
+                std::fprintf(stderr, "[%zu/%zu] %s %s (%.0f ms%s)\n",
+                             done, jobs.size(),
+                             job.point.experiment.c_str(),
+                             job.point.label().c_str(), rec.wallMs,
+                             note.c_str());
             }
         }
     };
@@ -600,10 +584,6 @@ Runner::run(const Registry &reg) const
         for (auto &t : pool)
             t.join();
     }
-    if (sampler)
-        sampler->finish();
-    else
-        hub.markFinished();
     report.totalWallMs =
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - sweep_start)

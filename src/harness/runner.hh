@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -24,7 +25,6 @@
 #include "harness/experiment.hh"
 #include "harness/json.hh"
 #include "harness/supervisor.hh"
-#include "obs/telemetry.hh"
 #include "obs/trace.hh"
 
 namespace hawksim::harness {
@@ -40,7 +40,10 @@ struct RunnerOptions
      * experiment name or in "name/label". Empty = run everything.
      */
     std::string filter;
-    /** Progress lines on stderr. */
+    /**
+     * One stderr line per completed point, with the campaign's ETA
+     * (see etaMs) once a point has executed.
+     */
     bool verbose = false;
     /**
      * Per-run trace configuration (disabled by default). The CLI
@@ -50,8 +53,8 @@ struct RunnerOptions
     obs::TraceConfig trace;
     /**
      * Per-run fault-injection + audit configuration (inert by
-     * default). The CLI fills it from --chaos / --fault-rate /
-     * --fault-script / --audit-every; injection decisions derive
+     * default). The CLI fills it from --chaos / --fault-script /
+     * --audit-every; injection decisions derive
      * from each run's own seed, so the report stays byte-identical
      * for any --jobs value.
      */
@@ -85,13 +88,6 @@ struct RunnerOptions
      * (--resume-campaign). Requires journalPath.
      */
     bool resumeCampaign = false;
-    /**
-     * Live campaign telemetry (inert by default). The CLI fills it
-     * from --progress / --telemetry-out / --telemetry-port /
-     * --telemetry-interval. Strictly outside the deterministic
-     * report path: enabling any of it changes no canonical artifact.
-     */
-    obs::TelemetryConfig telemetry;
 };
 
 /** One executed grid point. */
@@ -146,8 +142,8 @@ struct Report
      * carve-out as the report's "status" block: a retried-but-
      * recovered point is byte-identical to a first-try success in
      * every canonical artifact, trace included (recovered retries
-     * surface in telemetry instead). Like toJson, the output is
-     * byte-identical for any --jobs value.
+     * show only on the runner's stderr line). Like toJson, the
+     * output is byte-identical for any --jobs value.
      */
     void writeTrace(std::ostream &os) const;
     /**
@@ -171,6 +167,17 @@ Json costToJson(const obs::CostAccounting &cost,
 Json metricsToJson(const sim::Metrics &m);
 /** Rebuild Metrics from metricsToJson output (round-trip). */
 sim::Metrics metricsFromJson(const Json &j);
+
+/**
+ * Projected wall-clock ms until a campaign of @p total points ends,
+ * @p elapsedMs after it started, with @p done points complete of
+ * which @p fresh executed in this process. Only fresh points set the
+ * rate: journal replays finish in microseconds and say nothing about
+ * how long the rest will take. Empty before the first fresh point
+ * and once nothing remains.
+ */
+std::optional<double> etaMs(std::size_t fresh, std::size_t done,
+                            std::size_t total, double elapsedMs);
 
 class Runner
 {

@@ -54,9 +54,9 @@ struct SupervisorOptions
 
 /**
  * One supervision incident: attempt @p attempt ended abnormally.
- * The ledger of these makes retries and watchdog cancellations
- * visible to telemetry and the Perfetto export — until now they
- * only surfaced in a degraded report's "status" block.
+ * For a point that ended non-ok, the ledger of these becomes the
+ * Perfetto export's supervisor instants, beside the degraded
+ * report's "status" block.
  */
 struct AttemptEvent
 {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -29,18 +30,57 @@ registerTiny(Registry &reg)
         });
 }
 
-/** Run the CLI with the given extra args inside a scratch dir. */
+/** Run the CLI with exactly @p args after the program name. */
 int
-cli(std::vector<std::string> args)
+cliExact(std::vector<std::string> args)
 {
     args.insert(args.begin(), "hawksim_bench");
-    args.insert(args.end(), {"--quiet", "--jobs", "1"});
     std::vector<char *> argv;
     for (auto &a : args)
         argv.push_back(a.data());
     Registry reg;
     registerTiny(reg);
     return runCli(static_cast<int>(argv.size()), argv.data(), reg);
+}
+
+/** Run the CLI, quietly on one worker, with @p args. */
+int
+cli(std::vector<std::string> args)
+{
+    args.insert(args.end(), {"--quiet", "--jobs", "1"});
+    return cliExact(std::move(args));
+}
+
+/** What one CLI invocation printed, and its exit code. */
+struct Captured
+{
+    int rc = 0;
+    std::string out, err;
+};
+
+Captured
+captureCli(std::vector<std::string> args)
+{
+    testing::internal::CaptureStdout();
+    testing::internal::CaptureStderr();
+    Captured c;
+    c.rc = cliExact(std::move(args));
+    c.err = testing::internal::GetCapturedStderr();
+    c.out = testing::internal::GetCapturedStdout();
+    return c;
+}
+
+/** Flags the CLI no longer has, each with a plausible value. */
+std::vector<std::vector<std::string>>
+removedFlags()
+{
+    return {{"--progress"},
+            {"--telemetry-out", "hb.jsonl"},
+            {"--telemetry-port", "0"},
+            {"--telemetry-interval", "1"},
+            {"--pretty"},
+            {"--fault-rate", "0.1"},
+            {"--analyze"}};
 }
 
 std::string
@@ -95,28 +135,49 @@ TEST_F(CliTest, RejectsUnknownTraceFilterCategory)
     EXPECT_FALSE(fs::exists(trace));
 }
 
-TEST_F(CliTest, TelemetryFlagsLeaveTheReportByteIdentical)
+TEST_F(CliTest, EveryRejectedArgumentPrintsOneErrorLine)
 {
-    const fs::path plain = scratch_ / "plain.json";
-    const fs::path tele = scratch_ / "tele.json";
-    const fs::path hb = scratch_ / "hb.jsonl";
-    ASSERT_EQ(cli({"--out", plain.string()}), 0);
-    ASSERT_EQ(cli({"--out", tele.string(), "--telemetry-out",
-                   hb.string(), "--telemetry-interval", "0.01"}),
-              0);
-    EXPECT_EQ(slurp(plain), slurp(tele));
-    // And the heartbeat JSONL landed.
-    const std::string lines = slurp(hb);
-    EXPECT_NE(lines.find("hawksim-telemetry/v1"),
-              std::string::npos);
+    const fs::path negative = scratch_ / "negative.script";
+    const fs::path suffixed = scratch_ / "suffixed.script";
+    std::ofstream(negative) << "buddy-alloc -1\n";
+    std::ofstream(suffixed) << "buddy-alloc 2x\n";
+    std::vector<std::vector<std::string>> cases = {
+        {"--jobs", "x"},
+        {"--trace-filter", "bogus"},
+        {"--checkpoint-every", "x"},
+        {"--replay-to", "0"},
+        {"--point-timeout", "nan"},
+        {"--tolerance", "-1"},
+        {"--fault-script", (scratch_ / "no-such-script").string()},
+        {"--fault-script", negative.string()},
+        {"--fault-script", suffixed.string()},
+        {"--out"}, // missing value
+        {"--diff", "a"},
+        {"--no-such-flag"},
+    };
+    for (auto &flag : removedFlags())
+        cases.push_back(flag);
+    for (const auto &args : cases) {
+        const Captured c = captureCli(args);
+        EXPECT_EQ(c.rc, 2) << args[0];
+        EXPECT_EQ(c.err.rfind("error: ", 0), 0u)
+            << args[0] << ": " << c.err;
+        EXPECT_EQ(std::count(c.err.begin(), c.err.end(), '\n'), 1)
+            << args[0] << ": " << c.err;
+    }
+    // An unknown flag also prints the usage, on stdout.
+    const Captured c = captureCli({"--no-such-flag"});
+    EXPECT_EQ(c.out.rfind("usage: ", 0), 0u) << c.out;
 }
 
-TEST_F(CliTest, RejectsBadTelemetryValues)
+TEST_F(CliTest, HelpNamesNoRemovedFlag)
 {
-    EXPECT_EQ(cli({"--telemetry-port", "99999"}), 2);
-    EXPECT_EQ(cli({"--telemetry-port", "abc"}), 2);
-    EXPECT_EQ(cli({"--telemetry-interval", "0"}), 2);
-    EXPECT_EQ(cli({"--telemetry-interval", "-1"}), 2);
+    const Captured c = captureCli({"--help"});
+    EXPECT_EQ(c.rc, 0);
+    EXPECT_TRUE(c.err.empty()) << c.err;
+    EXPECT_NE(c.out.find("--diff A B"), std::string::npos);
+    for (const auto &flag : removedFlags())
+        EXPECT_EQ(c.out.find(flag[0]), std::string::npos) << flag[0];
 }
 
 TEST_F(CliTest, AnalyzeDiffGatesOnRegression)
@@ -127,8 +188,8 @@ TEST_F(CliTest, AnalyzeDiffGatesOnRegression)
     // Same seed twice: byte-identical reports, clean diff.
     ASSERT_EQ(cli({"--out", a.string(), "--seed", "7"}), 0);
     ASSERT_EQ(cli({"--out", b.string(), "--seed", "7"}), 0);
-    EXPECT_EQ(cli({"--analyze", "--diff", a.string(), b.string(),
-                   "--summary-out", sum.string()}),
+    EXPECT_EQ(cli({"--diff", a.string(), b.string(), "--summary-out",
+                   sum.string()}),
               0);
     std::string err;
     Json s = Json::parse(slurp(sum), &err);
@@ -140,8 +201,8 @@ TEST_F(CliTest, AnalyzeDiffGatesOnRegression)
     // with a machine-readable summary naming it.
     const fs::path c = scratch_ / "c.json";
     ASSERT_EQ(cli({"--out", c.string(), "--seed", "8"}), 0);
-    EXPECT_EQ(cli({"--analyze", "--diff", a.string(), c.string(),
-                   "--summary-out", sum.string()}),
+    EXPECT_EQ(cli({"--diff", a.string(), c.string(), "--summary-out",
+                   sum.string()}),
               3);
     s = Json::parse(slurp(sum), &err);
     ASSERT_TRUE(err.empty()) << err;
@@ -152,15 +213,10 @@ TEST_F(CliTest, AnalyzeDiffGatesOnRegression)
 
 TEST_F(CliTest, AnalyzeUsageErrors)
 {
-    // --analyze with nothing to do.
-    EXPECT_EQ(cli({"--analyze"}), 2);
     // Bad tolerance.
-    EXPECT_EQ(cli({"--analyze", "--diff", "a", "b", "--tolerance",
-                   "nope"}),
-              2);
+    EXPECT_EQ(cli({"--diff", "a", "b", "--tolerance", "nope"}), 2);
     // Missing input file is an environment failure, not usage.
-    EXPECT_EQ(cli({"--analyze", "--diff",
-                   (scratch_ / "no.json").string(),
+    EXPECT_EQ(cli({"--diff", (scratch_ / "no.json").string(),
                    (scratch_ / "no2.json").string()}),
               1);
 }

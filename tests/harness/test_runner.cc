@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
+#include <vector>
 
+#include "base/error.hh"
 #include "base/rng.hh"
 #include "harness/runner.hh"
 #include "harness/seed.hh"
+#include "support/scratch_dir.hh"
 
 namespace hawksim::harness {
 namespace {
@@ -163,6 +167,134 @@ TEST(Runner, ReportJsonSchema)
     EXPECT_EQ(run["sim_time_ns"].asInt(), 10'000);
     EXPECT_TRUE(run["scalars"].contains("acc"));
     EXPECT_EQ(run["metrics"]["series"]["probe"]["t"].size(), 10u);
+}
+
+TEST(Eta, ProjectsFromFreshPointsOnly)
+{
+    // 5 fresh of 10 done in 1000 ms: 5 remain at 5 points/s.
+    ASSERT_TRUE(etaMs(5, 5, 10, 1000.0));
+    EXPECT_DOUBLE_EQ(*etaMs(5, 5, 10, 1000.0), 1000.0);
+    // The same 5 fresh points beside 4 journal replays: the rate
+    // still comes from the 5 alone, and 1 point remains.
+    ASSERT_TRUE(etaMs(5, 9, 10, 1000.0));
+    EXPECT_DOUBLE_EQ(*etaMs(5, 9, 10, 1000.0), 200.0);
+}
+
+TEST(Eta, JournalReplaysAloneGiveNone)
+{
+    // A resume that replayed 9 of 10 points in a millisecond must
+    // not predict the last point lands in ~0.1 ms.
+    EXPECT_FALSE(etaMs(0, 9, 10, 1.0));
+    // One executed point unlocks the projection...
+    EXPECT_TRUE(etaMs(1, 9, 10, 2000.0));
+    // ...until nothing remains.
+    EXPECT_FALSE(etaMs(1, 10, 10, 2000.0));
+}
+
+TEST(Eta, NoneAtTimeZero)
+{
+    EXPECT_FALSE(etaMs(0, 0, 10, 0.0));
+    EXPECT_FALSE(etaMs(1, 1, 10, 0.0));
+}
+
+/**
+ * Four instant points; each whose k is at least @p failFrom throws
+ * an I/O error, so it fails and stays out of the journal.
+ */
+void
+registerFlaky(Registry &reg, const unsigned &failFrom)
+{
+    reg.add("flaky", "progress-line probe")
+        .axis("k", {"0", "1", "2", "3"})
+        .run([&failFrom](const RunContext &ctx) {
+            if (std::stoul(ctx.param("k")) >= failFrom)
+                throw RecoverableError(RecoverableError::Kind::kIo,
+                                       "injected");
+            RunOutput out;
+            out.simTimeNs = 1000;
+            return out;
+        });
+}
+
+/** The runner's per-point stderr lines for one serial campaign. */
+std::vector<std::string>
+progressLines(const Registry &reg, RunnerOptions opts, Report *report)
+{
+    opts.jobs = 1;
+    opts.verbose = true;
+    testing::internal::CaptureStderr();
+    *report = Runner(opts).run(reg);
+    std::istringstream is(testing::internal::GetCapturedStderr());
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(is, line);)
+        lines.push_back(line);
+    return lines;
+}
+
+bool
+hasEta(const std::string &line)
+{
+    return line.find(", ETA ") != std::string::npos;
+}
+
+TEST(ProgressLine, EtaComesFromFreshPointsOnly)
+{
+    const test::ScratchDir dir;
+    unsigned failFrom = 2;
+    Registry reg;
+    registerFlaky(reg, failFrom);
+    RunnerOptions opts;
+    opts.journalPath = (dir / "campaign.journal").string();
+    Report report;
+
+    // Every point executes: all but the last line (nothing remains)
+    // project an ETA, failed points included. k=2 and k=3 fail and
+    // stay out of the journal.
+    std::vector<std::string> lines = progressLines(reg, opts, &report);
+    ASSERT_EQ(lines.size(), 4u);
+    EXPECT_TRUE(hasEta(lines[0])) << lines[0];
+    EXPECT_TRUE(hasEta(lines[1])) << lines[1];
+    EXPECT_TRUE(hasEta(lines[2])) << lines[2];
+    EXPECT_NE(lines[2].find("failed, 1 attempts"), std::string::npos)
+        << lines[2];
+    EXPECT_FALSE(hasEta(lines[3])) << lines[3];
+
+    // Resume: k=0 and k=1 replay with no ETA; k=2 is the first fresh
+    // point and projects the rest from itself alone.
+    failFrom = 4;
+    opts.resumeCampaign = true;
+    lines = progressLines(reg, opts, &report);
+    ASSERT_EQ(lines.size(), 4u);
+    EXPECT_EQ(lines[0], "[1/4] flaky k=0 (journal)");
+    EXPECT_EQ(lines[1], "[2/4] flaky k=1 (journal)");
+    EXPECT_TRUE(hasEta(lines[2])) << lines[2];
+    EXPECT_FALSE(hasEta(lines[3])) << lines[3];
+    EXPECT_FALSE(report.degraded());
+}
+
+TEST(ProgressLine, AllReplayCampaignPrintsNoEta)
+{
+    const test::ScratchDir dir;
+    const unsigned never = 4;
+    Registry reg;
+    registerFlaky(reg, never);
+    RunnerOptions opts;
+    opts.journalPath = (dir / "campaign.journal").string();
+    Report want;
+    progressLines(reg, opts, &want);
+
+    // Every point replays from the journal: no fresh point ever
+    // executes, so no line projects an ETA, and the report matches.
+    opts.resumeCampaign = true;
+    Report got;
+    const std::vector<std::string> lines =
+        progressLines(reg, opts, &got);
+    ASSERT_EQ(lines.size(), 4u);
+    for (const std::string &line : lines) {
+        EXPECT_NE(line.find("(journal)"), std::string::npos) << line;
+        EXPECT_FALSE(hasEta(line)) << line;
+    }
+    EXPECT_EQ(got.toJson().dump(), want.toJson().dump());
 }
 
 } // namespace

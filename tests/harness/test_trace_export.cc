@@ -190,4 +190,66 @@ TEST(TraceExport, CategoryMaskLimitsExportedEvents)
     }
 }
 
+TEST(TraceExport, SupervisorInstantsAppearOnlyForNonOkPoints)
+{
+    // The trace is a canonical artifact: like the report's "status"
+    // block, only a point that ended NON-OK may be annotated. A
+    // retried-but-recovered point must stay byte-identical to a
+    // first-try success (tests/snap/test_recovery_ladder.cc pins
+    // that campaign-wide); its retries show only on the runner's
+    // stderr line.
+    Report r;
+    r.masterSeed = 1;
+    r.runs.resize(2);
+    r.runs[0].point.experiment = "exp";
+    r.runs[0].point.index = 0;
+    r.runs[1].point.experiment = "exp";
+    r.runs[1].point.index = 1;
+    r.statuses.resize(2);
+    r.statuses[1].state = PointStatus::State::kFailed;
+    r.statuses[1].attempts = 3;
+    r.statuses[1].error = "disk on fire";
+    r.statuses[1].events = {
+        {AttemptEvent::Kind::kRetry, 1, "io"},
+        {AttemptEvent::Kind::kRetry, 2, "io"},
+        {AttemptEvent::Kind::kFailed, 3, "io"},
+    };
+
+    const std::string trace = traceString(r);
+    // Two retries + one terminal failure, with the error kind.
+    std::size_t retries = 0;
+    for (std::size_t pos = trace.find("supervisor_retry");
+         pos != std::string::npos;
+         pos = trace.find("supervisor_retry", pos + 1))
+        retries++;
+    EXPECT_EQ(retries, 2u);
+    EXPECT_NE(trace.find("supervisor_failed"), std::string::npos);
+    EXPECT_NE(trace.find("\"error_kind\":\"io\""),
+              std::string::npos);
+    EXPECT_NE(trace.find("\"attempt\":3"), std::string::npos);
+    EXPECT_EQ(trace.find("supervisor_timeout"), std::string::npos);
+
+    // Clean statuses emit nothing: historical traces keep their
+    // bytes.
+    Report clean = r;
+    clean.statuses[1] = PointStatus{};
+    EXPECT_EQ(traceString(clean).find("supervisor_"),
+              std::string::npos);
+
+    // Retried-but-RECOVERED emits nothing either — the determinism
+    // contract covers the trace, so only the stderr line may tell.
+    Report recovered = r;
+    recovered.statuses[1].state = PointStatus::State::kOk;
+    recovered.statuses[1].events.pop_back(); // drop the kFailed
+    EXPECT_EQ(traceString(recovered).find("supervisor_"),
+              std::string::npos);
+
+    // Journal replays are never annotated even if their recorded
+    // status carries attempts from a past life.
+    Report journal = r;
+    journal.statuses[1].fromJournal = true;
+    EXPECT_EQ(traceString(journal).find("supervisor_"),
+              std::string::npos);
+}
+
 } // namespace hawksim::harness

@@ -13,7 +13,9 @@
  * CSV, introspection snapshot and counters. The digests were recorded
  * when the simulator still had per-access scalar loops and a page-table
  * translation cache behind runtime switches, and scalar, batched,
- * cache-on and cache-off runs all produced the same digest.
+ * cache-on and cache-off runs all produced the same digest. The pinned
+ * HawkEye point's digest was recorded later, while the tracker hook
+ * still re-walked the page table for each region it was handed.
  */
 
 #include <gtest/gtest.h>
@@ -281,6 +283,12 @@ makePolicy(const std::string &name)
 {
     if (name == "hawkeye")
         return std::make_unique<core::HawkEyePolicy>();
+    if (name == "hawkeye-fast-sampling") {
+        core::HawkEyeConfig c;
+        c.samplePeriod = msec(200);
+        c.sampleWindow = msec(50);
+        return std::make_unique<core::HawkEyePolicy>(c);
+    }
     if (name == "ingens")
         return std::make_unique<policy::IngensPolicy>();
     if (name == "linux")
@@ -288,23 +296,28 @@ makePolicy(const std::string &name)
     return std::make_unique<policy::FreeBsdPolicy>();
 }
 
-/** Digest of a full-system run, plus what the chaos test inspects. */
+/** Digest of a full-system run, plus what the chaos test and the
+ *  pinned HawkEye test inspect. */
 struct SystemRun
 {
     std::uint64_t digest = 0;
     std::uint64_t injected = 0;
+    /** A base-mapped region with a tracked EMA > 0 in the map. */
+    bool trackedBaseRegion = false;
 };
 
 /**
- * One grid point: fragmented memory, a zipfian stream, run to a
+ * One grid point: fragmented memory (movable pins, plus unmovable
+ * pins in @p pinned of the 2 MB blocks), a zipfian stream, run to a
  * mid-flight point, then digest everything an experiment report
  * could contain: the metrics CSV, the introspection snapshot (which
- * embeds tracker EMAs per region and TLB occupancy), the walk-cycle
- * and fault counters and the fault-injection tallies.
+ * embeds tracker EMAs and access-map buckets per region and TLB
+ * occupancy), the walk-cycle and fault counters and the
+ * fault-injection tallies.
  */
 SystemRun
 runSystem(const std::string &policy, std::uint64_t memBytes,
-          double faultRate, std::uint64_t seed)
+          double faultRate, std::uint64_t seed, double pinned = 0.0)
 {
     setLogQuiet(true);
     sim::SystemConfig cfg;
@@ -318,6 +331,8 @@ runSystem(const std::string &policy, std::uint64_t memBytes,
     sim::System sys(cfg);
     sys.setPolicy(makePolicy(policy));
     sys.fragmentMemoryMovable(0.6, 16);
+    if (pinned > 0.0)
+        sys.fragmentMemory(pinned);
 
     workload::StreamConfig wc;
     wc.footprintBytes = memBytes / 4;
@@ -339,9 +354,16 @@ runSystem(const std::string &policy, std::uint64_t memBytes,
         fallbacks = fi->degradation().hugeFallbacks;
         oomKills = fi->degradation().oomKills;
     }
+    const obs::Snapshot snap = obs::snapshot(sys);
+    for (const obs::ProcInfo &p : snap.procs) {
+        for (const obs::RegionInfo &reg : p.regions) {
+            if (!reg.huge && reg.ema > 0.0 && reg.bucket >= 0)
+                r.trackedBaseRegion = true;
+        }
+    }
     std::ostringstream os;
     sys.metrics().writeCsv(os);
-    os << obs::snapshotToJson(obs::snapshot(sys)).dump()
+    os << obs::snapshotToJson(snap).dump()
        << proc.counters().walkCycles() << ' ' << proc.pageFaults()
        << ' ' << r.injected << ' ' << fallbacks << ' ' << oomKills;
     r.digest = harness::fnv1a(os.str());
@@ -448,6 +470,23 @@ TEST(BatchedEquivalence, TcacheOffStillIdentical)
 {
     EXPECT_EQ(runSystem("hawkeye", MiB(192), 0.0, 7).digest,
               0xb9bb64f087250e65ull);
+}
+
+/**
+ * HawkEye against unmovable fragmentation: with pins in 80% of the
+ * 2 MB blocks, many of the stream's huge faults fall back to base
+ * pages, so the access tracker's hook feeds those regions' EMAs into
+ * the access map (its update branch), and with a sample every 200 ms
+ * the promotion order follows them. On the grid points the whole
+ * stream is huge-mapped by its first faults, so there the hook only
+ * ever removes regions from the map.
+ */
+TEST(BatchedEquivalence, PinnedHawkEyeTracksBaseRegions)
+{
+    const SystemRun run =
+        runSystem("hawkeye-fast-sampling", MiB(256), 0.0, 42, 0.8);
+    EXPECT_TRUE(run.trackedBaseRegion);
+    EXPECT_EQ(run.digest, 0x2b000cec9e00e595ull);
 }
 
 /** bucketFor's branchless clamp must keep the exact bucket mapping,

@@ -1,15 +1,21 @@
 #include "base/logging.hh"
 
+#include <atomic>
 #include <exception>
 
 namespace hawksim {
 
 namespace {
-bool quiet_flag = false;
+// Set by tests from runner worker threads; relaxed suffices because
+// no other memory is published through it.
+std::atomic<bool> quiet_flag{false};
 } // namespace
 
-void setLogQuiet(bool quiet) { quiet_flag = quiet; }
-bool logQuiet() { return quiet_flag; }
+void
+setLogQuiet(bool quiet)
+{
+    quiet_flag.store(quiet, std::memory_order_relaxed);
+}
 
 namespace detail {
 
@@ -34,14 +40,14 @@ fatalImpl(const char *file, int line, const std::string &msg)
 void
 warnImpl(const std::string &msg)
 {
-    if (!quiet_flag)
+    if (!quiet_flag.load(std::memory_order_relaxed))
         std::fprintf(stderr, "warn: %s\n", msg.c_str());
 }
 
 void
 informImpl(const std::string &msg)
 {
-    if (!quiet_flag)
+    if (!quiet_flag.load(std::memory_order_relaxed))
         std::fprintf(stderr, "info: %s\n", msg.c_str());
 }
 

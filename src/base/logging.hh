@@ -42,7 +42,6 @@ void informImpl(const std::string &msg);
 
 /** Toggle for warn()/inform() output (tests silence it). */
 void setLogQuiet(bool quiet);
-bool logQuiet();
 
 #define HS_PANIC(...)                                                        \
     ::hawksim::detail::panicImpl(__FILE__, __LINE__,                         \

@@ -9,20 +9,6 @@
 namespace hawksim::harness {
 
 const char *
-attemptEventKindName(AttemptEvent::Kind k)
-{
-    switch (k) {
-    case AttemptEvent::Kind::kRetry:
-        return "retry";
-    case AttemptEvent::Kind::kTimedOut:
-        return "timed-out";
-    case AttemptEvent::Kind::kFailed:
-        return "failed";
-    }
-    return "unknown";
-}
-
-const char *
 stateName(PointStatus::State s)
 {
     switch (s) {

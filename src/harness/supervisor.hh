@@ -76,8 +76,6 @@ struct AttemptEvent
     const char *errorKind = "unknown";
 };
 
-const char *attemptEventKindName(AttemptEvent::Kind k);
-
 /** Final disposition of one grid point. */
 struct PointStatus
 {

@@ -75,8 +75,16 @@ VmBackingWorkload::next(sim::Process &proc, TimeNs max_compute,
                         workload::WorkChunk &chunk)
 {
     (void)proc;
-    (void)max_compute;
     chunk.reset();
+    if (pending_faults_.empty() && pending_frees_.empty() &&
+        pending_touches_.empty()) {
+        // Idle until the guest's next tick: take the rest of this tick
+        // as one chunk of whole usec(1) VM-exit quanta. The caller is
+        // left with the same budget and debt as after one empty exit
+        // per quantum.
+        chunk.compute = (max_compute + usec(1) - 1) / usec(1) * usec(1);
+        return;
+    }
     const Vpn base_vpn = addrToVpn(base_);
     std::uint64_t drained = 0;
     while (!pending_faults_.empty() && drained < 4096) {

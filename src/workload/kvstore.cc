@@ -1,12 +1,57 @@
 #include "workload/kvstore.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "base/logging.hh"
 #include "sim/process.hh"
 #include "snap/state.hh"
 
 namespace hawksim::workload {
+
+namespace {
+
+/**
+ * Order statistics over slots that start live and are only ever
+ * removed: a Fenwick (binary-indexed) tree of live counts, so finding
+ * and removing the live slot of a given rank is O(log n).
+ */
+class LiveRanks
+{
+  public:
+    explicit LiveRanks(std::size_t slots)
+        : tree_(slots + 1), top_(std::bit_floor(slots))
+    {
+        HS_ASSERT(slots <= UINT32_MAX, "too many slots: ", slots);
+        // Node i counts the lowbit(i) slots ending at slot i - 1.
+        for (std::size_t i = 1; i <= slots; i++)
+            tree_[i] = static_cast<std::uint32_t>(i & -i);
+    }
+
+    /** Remove the live slot of 0-based rank @p rank; return it. */
+    std::size_t
+    take(std::uint64_t rank)
+    {
+        // Descend to the largest pos with at most `rank` live slots
+        // before it: slot pos is then the live one of that rank.
+        std::size_t pos = 0;
+        for (std::size_t step = top_; step > 0; step /= 2) {
+            if (pos + step < tree_.size() && tree_[pos + step] <= rank) {
+                pos += step;
+                rank -= tree_[pos];
+            }
+        }
+        for (std::size_t i = pos + 1; i < tree_.size(); i += i & -i)
+            tree_[i]--;
+        return pos;
+    }
+
+  private:
+    std::vector<std::uint32_t> tree_;
+    std::size_t top_;
+};
+
+} // namespace
 
 void
 KeyValueStoreWorkload::init(sim::Process &proc)
@@ -100,10 +145,7 @@ KeyValueStoreWorkload::next(sim::Process &proc, TimeNs max_compute,
         const auto target = static_cast<std::uint64_t>(
             ph.fraction * static_cast<double>(live_.size()));
         std::uint64_t deleted = 0;
-        auto dropAt = [&](std::uint64_t idx) {
-            const Value v = live_[idx];
-            live_[idx] = live_.back();
-            live_.pop_back();
+        auto drop = [&](const Value &v) {
             live_bytes_ -=
                 std::min<std::uint64_t>(live_bytes_,
                                         std::uint64_t{v.pages} *
@@ -115,31 +157,34 @@ KeyValueStoreWorkload::next(sim::Process &proc, TimeNs max_compute,
                 free_small_.push_back(v.firstPage);
             deleted++;
         };
-        while (deleted < target && !live_.empty()) {
-            if (ph.clusterRun <= 1) {
-                dropAt(rng_.below(live_.size()));
-                continue;
+        if (ph.clusterRun <= 1) {
+            while (deleted < target && !live_.empty()) {
+                const std::uint64_t idx = rng_.below(live_.size());
+                drop(live_[idx]);
+                live_[idx] = live_.back();
+                live_.pop_back();
             }
-            // Clustered expiry: erase a run of values contiguous in
-            // insertion (and hence arena) order.
-            const std::uint64_t idx = rng_.below(live_.size());
-            const std::uint64_t run = std::min<std::uint64_t>(
-                {ph.clusterRun, target - deleted,
-                 live_.size() - idx});
-            for (std::uint64_t j = idx; j < idx + run; j++) {
-                const Value &v = live_[j];
-                live_bytes_ -= std::min<std::uint64_t>(
-                    live_bytes_,
-                    std::uint64_t{v.pages} * kPageSize);
-                chunk.frees.push_back(
-                    {base_ + v.firstPage * kPageSize,
-                     std::uint64_t{v.pages} * kPageSize});
-                if (v.pages == small_pages_)
-                    free_small_.push_back(v.firstPage);
-                deleted++;
+        } else {
+            // Clustered expiry: drop runs of values contiguous in
+            // insertion (and hence arena) order. A draw ranks the
+            // values still live; dropped slots keep their place
+            // (marked by pages = 0, which no value has) until one
+            // compaction at the end, so survivors keep their order.
+            LiveRanks ranks(live_.size());
+            while (deleted < target && deleted < live_.size()) {
+                const std::uint64_t alive = live_.size() - deleted;
+                const std::uint64_t idx = rng_.below(alive);
+                const std::uint64_t run = std::min<std::uint64_t>(
+                    {ph.clusterRun, target - deleted, alive - idx});
+                // Dropping rank idx moves the next live value to it.
+                for (std::uint64_t j = 0; j < run; j++) {
+                    Value &v = live_[ranks.take(idx)];
+                    drop(v);
+                    v.pages = 0;
+                }
             }
-            live_.erase(live_.begin() + static_cast<long>(idx),
-                        live_.begin() + static_cast<long>(idx + run));
+            std::erase_if(live_,
+                          [](const Value &v) { return v.pages == 0; });
         }
         chunk.compute = std::max<TimeNs>(
             static_cast<TimeNs>(static_cast<double>(target) * 200),

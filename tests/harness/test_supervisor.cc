@@ -181,16 +181,6 @@ TEST(Supervisor, EventLedgerRecordsEveryAbnormalEnding)
     EXPECT_TRUE(st.events.empty());
 }
 
-TEST(Supervisor, AttemptEventKindNamesAreStable)
-{
-    EXPECT_STREQ(attemptEventKindName(AttemptEvent::Kind::kRetry),
-                 "retry");
-    EXPECT_STREQ(attemptEventKindName(AttemptEvent::Kind::kTimedOut),
-                 "timed-out");
-    EXPECT_STREQ(attemptEventKindName(AttemptEvent::Kind::kFailed),
-                 "failed");
-}
-
 TEST(Watchdog, CancelsStalledHeartbeatAndSparesLiveOne)
 {
     Watchdog wd(0.15); // 150 ms stall budget, ~15 ms scan period

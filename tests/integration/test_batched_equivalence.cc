@@ -15,7 +15,10 @@
  * translation cache behind runtime switches, and scalar, batched,
  * cache-on and cache-off runs all produced the same digest. The pinned
  * HawkEye point's digest was recorded later, while the tracker hook
- * still re-walked the page table for each region it was handed.
+ * still re-walked the page table for each region it was handed, and
+ * the virtualized point's while each VM's idle host backing process
+ * still spent its ticks one usec(1) exit at a time and clustered
+ * key-value expiry still erased each run from the middle of a vector.
  */
 
 #include <gtest/gtest.h>
@@ -29,6 +32,7 @@
 #include "harness/seed.hh"
 #include "hawksim.hh"
 #include "snap/snap.hh"
+#include "virt/vm.hh"
 
 using namespace hawksim;
 using tlb::AccessSample;
@@ -370,6 +374,86 @@ runSystem(const std::string &policy, std::uint64_t memBytes,
     return r;
 }
 
+/**
+ * Two small VMs on a host with KSM, HawkEye at both layers: one runs
+ * a key-value store that loads, expires 70% of its values in runs of
+ * 64 and serves; the other streams. Digest the host metrics CSV, the
+ * host's cost accounting and KSM tallies, and every process's
+ * counters on both layers.
+ */
+std::uint64_t
+runVirtualSystem()
+{
+    setLogQuiet(true);
+    sim::SystemConfig host_cfg;
+    host_cfg.memoryBytes = MiB(512);
+    host_cfg.seed = 5;
+    host_cfg.costs.zeroDaemonPagesPerSec = 100'000.0;
+    virt::VirtualSystem vs(host_cfg, makePolicy("hawkeye"));
+    vs.enableHostKsm(300'000.0);
+    virt::VmOptions opts;
+    opts.guestMemBytes = MiB(256);
+
+    opts.seed = 1;
+    auto &kv_vm = vs.addVm("vm-kv", opts, makePolicy("hawkeye"));
+    workload::KvConfig kc;
+    kc.arenaBytes = MiB(512);
+    kc.servesForever = true;
+    workload::KvPhase load;
+    load.type = workload::KvPhase::Type::kInsert;
+    load.count = 40'000;
+    load.opsPerSec = 150'000;
+    workload::KvPhase del;
+    del.type = workload::KvPhase::Type::kDelete;
+    del.fraction = 0.7;
+    del.clusterRun = 64;
+    workload::KvPhase serve;
+    serve.type = workload::KvPhase::Type::kServe;
+    serve.durationSec = 1e6;
+    serve.opsPerSec = 50'000;
+    kc.phases = {load, del, serve};
+    kv_vm.addGuestProcess(
+        "kv", std::make_unique<workload::KeyValueStoreWorkload>(
+                  "kv", kc, Rng(21)));
+
+    opts.seed = 2;
+    auto &stream_vm = vs.addVm("vm-stream", opts, makePolicy("hawkeye"));
+    workload::StreamConfig wc;
+    wc.footprintBytes = MiB(96);
+    wc.zipfS = 0.4;
+    wc.accessesPerSec = 2.5e6;
+    wc.workSeconds = 1e6;
+    stream_vm.addGuestProcess(
+        "stream", std::make_unique<workload::StreamWorkload>(
+                      "stream", wc, Rng(22)));
+
+    vs.run(sec(3));
+
+    std::ostringstream os;
+    vs.host().metrics().writeCsv(os);
+    snap::Writer w;
+    w.beginSection("DGST");
+    vs.host().cost().save(w);
+    w.u64(vs.hostKsm()->stats().pagesScanned);
+    w.u64(vs.hostKsm()->stats().zeroMerged);
+    w.u64(vs.hostKsm()->stats().dupMerged);
+    auto processCounters = [&](sim::System &sys) {
+        for (const auto &proc : sys.processes()) {
+            proc->counters().save(w);
+            w.u64(proc->pageFaults());
+            w.u64(proc->cowFaults());
+            w.u64(proc->opsCompleted());
+            w.i64(proc->faultTime());
+        }
+    };
+    processCounters(vs.host());
+    for (const auto &vm : vs.vms())
+        processCounters(vm->guest());
+    w.endSection();
+    os << w.bytes();
+    return harness::fnv1a(os.str());
+}
+
 } // namespace
 
 /**
@@ -487,6 +571,17 @@ TEST(BatchedEquivalence, PinnedHawkEyeTracksBaseRegions)
         runSystem("hawkeye-fast-sampling", MiB(256), 0.0, 42, 0.8);
     EXPECT_TRUE(run.trackedBaseRegion);
     EXPECT_EQ(run.digest, 0x2b000cec9e00e595ull);
+}
+
+/**
+ * Virtualized: guest faults replayed on the host, host KSM, guest
+ * pre-zeroing and clustered key-value expiry must reproduce the
+ * pinned digest of the host's metrics and cost accounting and of
+ * every process's counters.
+ */
+TEST(BatchedEquivalence, VirtualSystemRunIdentical)
+{
+    EXPECT_EQ(runVirtualSystem(), 0x1d6aa1c02c4f14c5ull);
 }
 
 /** bucketFor's branchless clamp must keep the exact bucket mapping,

@@ -132,3 +132,56 @@ TEST(Virt, BalloonReturnsGuestFreeMemoryImmediately)
     EXPECT_LT(vm.hostProcess().space().rssPages(),
               MiB(64) / kPageSize);
 }
+
+TEST(Virt, IdleBackingTakesRestOfTickInExitQuanta)
+{
+    setLogQuiet(true);
+    virt::VirtualSystem vs(hostConfig(),
+                           std::make_unique<policy::LinuxThpPolicy>());
+    virt::VmOptions opts;
+    opts.guestMemBytes = MiB(64);
+    auto &vm = vs.addVm("vm1", opts,
+                        std::make_unique<policy::LinuxThpPolicy>());
+    sim::Process &host = vm.hostProcess();
+    auto &backing =
+        dynamic_cast<virt::VmBackingWorkload &>(host.workload());
+    workload::WorkChunk chunk;
+
+    // Nothing pending: one empty chunk for the whole budget, rounded
+    // up to whole usec(1) exits, as that many empty exits would cost.
+    const std::pair<TimeNs, TimeNs> idle[] = {
+        {1, usec(1)},
+        {999, usec(1)},
+        {usec(1), usec(1)},
+        {usec(1) + 1, usec(2)},
+        {msec(10) - 1, msec(10)},
+    };
+    for (const auto &[max_compute, compute] : idle) {
+        backing.next(host, max_compute, chunk);
+        EXPECT_EQ(chunk.compute, compute) << max_compute;
+        EXPECT_TRUE(chunk.faults.empty());
+        EXPECT_TRUE(chunk.writes.empty());
+        EXPECT_TRUE(chunk.touches.empty());
+        EXPECT_TRUE(chunk.frees.empty());
+        EXPECT_FALSE(chunk.done);
+    }
+
+    // Anything drained costs its exits, at least one.
+    backing.pushFault(0, mem::PageContent::zero());
+    backing.next(host, msec(10), chunk);
+    EXPECT_EQ(chunk.faults.size(), 1u);
+    EXPECT_EQ(chunk.compute, usec(1));
+    backing.pushTouch(0);
+    backing.next(host, msec(10), chunk);
+    EXPECT_EQ(chunk.touches.size(), 1u);
+    EXPECT_EQ(chunk.compute, usec(1));
+
+    for (Vpn gpa = 0; gpa < 5000; gpa++)
+        backing.pushFault(gpa, mem::PageContent::zero());
+    backing.next(host, msec(10), chunk);
+    EXPECT_EQ(chunk.faults.size(), 4096u);
+    EXPECT_EQ(chunk.compute, 4096 * 200);
+    backing.next(host, msec(10), chunk);
+    EXPECT_EQ(chunk.faults.size(), 5000u - 4096u);
+    EXPECT_EQ(chunk.compute, (5000 - 4096) * 200);
+}

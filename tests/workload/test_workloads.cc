@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+
 #include "hawksim.hh"
+#include "snap/snap.hh"
+#include "snap/state.hh"
 
 using namespace hawksim;
 
@@ -252,6 +256,193 @@ TEST(KvStore, SmallValueSlotsAreReused)
     f.sys->runUntilAllDone(sec(120));
     // Reinsertion reused the freed slots: footprint did not double.
     EXPECT_LT(proc.space().mappedPages(), 2500u);
+}
+
+namespace {
+
+std::string
+savedBytes(const workload::KeyValueStoreWorkload &kv)
+{
+    snap::Writer w;
+    w.beginSection("KVST");
+    kv.save(w);
+    w.endSection();
+    return w.bytes();
+}
+
+/** A key-value store's saved state, field by field in save() order. */
+struct KvImage
+{
+    Rng rng{0};
+    mem::ContentGenerator content{Rng(0)};
+    std::uint64_t base = 0;
+    std::uint64_t arenaPages = 0;
+    std::uint64_t cursor = 0;
+    std::deque<std::uint64_t> freeSmall;
+    std::uint32_t smallPages = 0;
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> live;
+    std::uint64_t liveBytes = 0;
+    std::uint64_t phase = 0;
+    std::uint64_t phaseProgress = 0;
+    double phaseTime = 0.0;
+
+    explicit KvImage(const workload::KeyValueStoreWorkload &kv)
+    {
+        snap::Reader r(savedBytes(kv));
+        r.openSection("KVST");
+        snap::loadRng(r, rng);
+        content.load(r);
+        base = r.u64();
+        arenaPages = r.u64();
+        cursor = r.u64();
+        for (std::uint64_t n = r.u64(); n > 0; n--)
+            freeSmall.push_back(r.u64());
+        smallPages = r.u32();
+        for (std::uint64_t n = r.u64(); n > 0; n--) {
+            const std::uint64_t first = r.u64();
+            live.emplace_back(first, r.u32());
+        }
+        liveBytes = r.u64();
+        phase = r.u64();
+        phaseProgress = r.u64();
+        phaseTime = r.f64();
+        r.endSection();
+    }
+
+    std::string
+    bytes() const
+    {
+        snap::Writer w;
+        w.beginSection("KVST");
+        snap::saveRng(w, rng);
+        content.save(w);
+        w.u64(base);
+        w.u64(arenaPages);
+        w.u64(cursor);
+        w.u64(freeSmall.size());
+        for (std::uint64_t slot : freeSmall)
+            w.u64(slot);
+        w.u32(smallPages);
+        w.u64(live.size());
+        for (const auto &[first, pages] : live) {
+            w.u64(first);
+            w.u32(pages);
+        }
+        w.u64(liveBytes);
+        w.u64(phase);
+        w.u64(phaseProgress);
+        w.f64(phaseTime);
+        w.endSection();
+        return w.bytes();
+    }
+};
+
+/**
+ * Clustered expiry as it was first written: erase each run from the
+ * middle of the live vector (O(n) per run). Returns the freed ranges
+ * as (start, bytes) and leaves @p s as the store's state afterwards.
+ */
+std::vector<std::pair<Addr, std::uint64_t>>
+eraseReferenceDelete(KvImage &s, double fraction,
+                     std::uint64_t cluster_run)
+{
+    const auto target = static_cast<std::uint64_t>(
+        fraction * static_cast<double>(s.live.size()));
+    std::vector<std::pair<Addr, std::uint64_t>> frees;
+    std::uint64_t deleted = 0;
+    while (deleted < target && !s.live.empty()) {
+        const std::uint64_t idx = s.rng.below(s.live.size());
+        const std::uint64_t run = std::min<std::uint64_t>(
+            {cluster_run, target - deleted, s.live.size() - idx});
+        for (std::uint64_t j = idx; j < idx + run; j++) {
+            const auto [first, pages] = s.live[j];
+            const std::uint64_t bytes = std::uint64_t{pages} * kPageSize;
+            s.liveBytes -= std::min(s.liveBytes, bytes);
+            frees.emplace_back(s.base + first * kPageSize, bytes);
+            if (pages == s.smallPages)
+                s.freeSmall.push_back(first);
+            deleted++;
+        }
+        s.live.erase(s.live.begin() + static_cast<long>(idx),
+                     s.live.begin() + static_cast<long>(idx + run));
+    }
+    s.phase++;
+    s.phaseProgress = 0;
+    s.phaseTime = 0.0;
+    return frees;
+}
+
+} // namespace
+
+TEST(KvStore, ClusteredExpiryMatchesEraseReference)
+{
+    struct Case
+    {
+        std::uint64_t values; //!< per insert phase (four phases)
+        double fraction;
+        std::uint64_t clusterRun;
+    };
+    const Case cases[] = {
+        {1000, 0.7, 64},  // the catalogue's shape
+        {1000, 1.0, 64},  // everything expires
+        {700, 0.5, 2},
+        {600, 0.9, 7},
+        {50, 0.8, 1000},  // runs longer than the whole store
+        {50, 1.0, 1000},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(testing::Message()
+                     << c.values << " x4, fraction " << c.fraction
+                     << ", run " << c.clusterRun);
+        WlFixture f;
+        workload::KvConfig kc;
+        kc.arenaBytes = GiB(8);
+        // Small (slot-reused) values interleaved with multi-page and
+        // huge-aligned ones, so free_small_ order is exercised.
+        workload::KvPhase small;
+        small.type = workload::KvPhase::Type::kInsert;
+        small.count = c.values;
+        small.valueBytes = 4096;
+        workload::KvPhase multi = small;
+        multi.valueBytes = 3 * 4096 - 100;
+        workload::KvPhase huge = small;
+        huge.count = c.values / 50 + 1;
+        huge.valueBytes = MiB(2) + 1;
+        workload::KvPhase del;
+        del.type = workload::KvPhase::Type::kDelete;
+        del.fraction = c.fraction;
+        del.clusterRun = c.clusterRun;
+        kc.phases = {small, multi, huge, small, del};
+        const std::uint64_t inserts = 3 * c.values + huge.count;
+        auto &proc = f.sys->addProcess(
+            "kv", std::make_unique<workload::KeyValueStoreWorkload>(
+                      "kv", kc, Rng(c.values + c.clusterRun)));
+        auto &kv =
+            static_cast<workload::KeyValueStoreWorkload &>(proc.workload());
+
+        // Drive next() directly: chunks are generated, not executed.
+        workload::WorkChunk chunk;
+        std::uint64_t inserted = 0;
+        while (inserted < inserts) {
+            kv.next(proc, msec(10), chunk);
+            inserted += chunk.opsCompleted;
+        }
+        ASSERT_EQ(inserted, inserts);
+        ASSERT_EQ(kv.liveValues(), inserts);
+
+        KvImage want(kv);
+        const auto want_frees =
+            eraseReferenceDelete(want, c.fraction, c.clusterRun);
+        kv.next(proc, msec(10), chunk);
+
+        std::vector<std::pair<Addr, std::uint64_t>> frees;
+        for (const workload::FreeRange &fr : chunk.frees)
+            frees.emplace_back(fr.start, fr.bytes);
+        EXPECT_EQ(frees, want_frees);
+        EXPECT_EQ(kv.liveValues(), want.live.size());
+        EXPECT_EQ(kv.liveBytes(), want.liveBytes);
+        EXPECT_EQ(savedBytes(kv), want.bytes());
+    }
 }
 
 TEST(Presets, FactoriesProduceRunnableWorkloads)
